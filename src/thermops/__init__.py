@@ -50,6 +50,7 @@ from .construction import (
     auto_battery_size,
     closed_form_average_work,
     extend_to_oscillator,
+    ladder_work_distribution,
     theorem3_deterministic_work,
     truncation_tail,
     verify_extension,

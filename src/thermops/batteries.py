@@ -70,13 +70,13 @@ class WorkDistribution:
         if v.shape != p.shape or v.ndim != 1:
             raise DimensionMismatch("support and probs must be matching vectors")
         if np.min(p) < -1e-15:
-            raise ValueError(f"negative work probability {np.min(p)}")
+            raise DomainError(f"negative work probability {np.min(p)}")
         v, p = _merge_support(v, np.clip(p, 0.0, None), MERGE_TOL)
         keep = p > 0.0
         v, p = v[keep], p[keep]
         total = p.sum()
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"work probabilities sum to {total}")
+            raise DomainError(f"work probabilities sum to {total}")
         v.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "support", v)

@@ -93,14 +93,20 @@ def theorem1_certify(
     tol: float = THEOREM_TOL,
 ) -> CheckReport:
     """Check <e^{beta(w-f_s)}>_k <= Z_out (1 + e^{-beta delta_k}) on the band."""
+    n = channel.n_battery - 1
+    band = range(k_min, n - band_buffer + 1)
+    if not band:
+        raise DomainError(
+            f"no battery level to certify: k_min = {k_min} and band_buffer = {band_buffer} "
+            f"leave an empty band on a ladder with N = {n}"
+        )
     delta = _require_uniform(channel)
     _require_interior_eti(channel, k_min)
     z_out = partition_function(channel.sys_out, channel.beta)
-    n = channel.n_battery - 1
     worst_slack = np.inf
     worst_k = None
     rows = []
-    for k in range(k_min, n - band_buffer + 1):
+    for k in band:
         lhs = conditional_jarzynski(channel, sys, k)
         delta_k = (k - k_min + 1) * delta
         rhs = z_out * (1.0 + np.exp(-channel.beta * delta_k))

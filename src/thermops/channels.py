@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     IndexOutOfRange,
     InvalidSubchannels,
     NonUniformBattery,
@@ -45,14 +46,24 @@ class ThermalChannel:
     beta: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        # A read-only float64 array is kept as it is, so building a channel
+        # from a frozen matrix does not double its memory; anything the
+        # caller could still write to is copied.
+        m = self.matrix
+        if not (
+            isinstance(m, np.ndarray)
+            and m.dtype == np.float64
+            and m.flags.c_contiguous
+            and not m.flags.writeable
+        ):
+            m = np.array(m, dtype=float)
+            m.setflags(write=False)
         nb = len(self.battery)
         if m.ndim != 2 or m.shape != (len(self.sys_out) * nb, len(self.sys_in) * nb):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} inconsistent with "
                 f"d_out={len(self.sys_out)}, d_in={len(self.sys_in)}, n_battery={nb}"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -144,7 +155,7 @@ def apply(
     """Push a product state (or an already-joint distribution) through the channel."""
     if joint is None:
         if sys is None or bat is None:
-            raise ValueError("provide either (sys, bat) or joint")
+            raise DomainError("provide either (sys, bat) or joint")
         if len(sys.spectrum) != channel.d_in or len(bat.spectrum) != channel.n_battery:
             raise DimensionMismatch("input state dimensions do not match the channel")
         vec = np.kron(sys.probs, bat.probs)
@@ -171,7 +182,7 @@ def compose(second: ThermalChannel, first: ThermalChannel) -> ThermalChannel:
     if first.sys_out != second.sys_in or first.battery != second.battery:
         raise SpectrumMismatch("composition requires matching intermediate spectra")
     if first.beta != second.beta:
-        raise ValueError("composition requires equal beta")
+        raise DomainError("composition requires equal beta")
     return ThermalChannel(
         second.matrix @ first.matrix, first.sys_in, second.sys_out, first.battery, first.beta
     )
@@ -263,7 +274,7 @@ def check_eti(
     if channel.battery.uniform_spacing() is None:
         raise NonUniformBattery("ETI is defined for uniformly spaced batteries")
     if convention not in ("main", "appendix"):
-        raise ValueError(f"unknown ETI window convention {convention!r}")
+        raise DomainError(f"unknown ETI window convention {convention!r}")
     nb = channel.n_battery
     row_max = nb - 1 if row_max is None else row_max
     col_max = nb - 1 if col_max is None else col_max
@@ -311,7 +322,7 @@ def random_gibbs_stochastic(
     Gibbs-preserving by construction.
     """
     if num_mixes < 0:
-        raise ValueError("num_mixes must be >= 0")
+        raise DomainError("num_mixes must be >= 0")
     rng = np.random.default_rng(seed)
     g = gibbs_weights(joint_spectrum(sys, battery), beta)
     dim = len(g)
@@ -326,6 +337,7 @@ def random_gibbs_stochastic(
         row_b = m[b].copy()
         m[a] = (1.0 - lam * ratio) * row_a + lam * row_b
         m[b] = lam * ratio * row_a + (1.0 - lam) * row_b
+    m.setflags(write=False)
     return ThermalChannel(m, sys, sys, battery, beta)
 
 
@@ -357,7 +369,7 @@ class WitSubchannels:
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         if self.delta < 0:
-            raise ValueError("wit gap must be non-negative")
+            raise DomainError("wit gap must be non-negative")
 
     @property
     def dim(self) -> int:

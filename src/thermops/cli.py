@@ -15,9 +15,14 @@ from pathlib import Path
 
 
 from .channels import validate
-from .construction import auto_battery_size, extend_to_oscillator, verify_extension
+from .construction import (
+    MAX_BATTERY_SIZE,
+    auto_battery_size,
+    extend_to_oscillator,
+    verify_extension,
+)
 from .erasure import oscillator_erasure_stats
-from .errors import ThermopsError
+from .errors import DomainError, ThermopsError
 from .experiments import EXPERIMENTS, run_experiment
 from .fileio import (
     load_channel,
@@ -95,7 +100,16 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     sub = load_subchannels(args.subchannels)
-    n = args.num_quanta if args.num_quanta is not None else auto_battery_size(sub)
+    n = args.num_quanta
+    if n is None:
+        n = auto_battery_size(sub)
+        if n > MAX_BATTERY_SIZE:
+            dim = sub.dim * (n + 1)
+            raise DomainError(
+                f"automatic battery size N = {n} needs a dense {dim} x {dim} channel "
+                f"({8e-6 * dim * dim:.0f} MB); construct sizes channels automatically up to "
+                f"N = {MAX_BATTERY_SIZE}, so pass --num-quanta to choose N"
+            )
     channel = extend_to_oscillator(sub, n)
     write_channel(args.out, channel)
     report = verify_extension(channel, sub)

@@ -11,6 +11,20 @@ The top-level completion makes the finite map exactly trace- and
 Gibbs-preserving; translation symmetry then holds on the interior band
 above the vacuum (threshold level 1) but necessarily breaks at the top
 row, the mirror image of the vacuum.
+
+Work on the ladder is (k' - k) delta with k' - k in {-1, 0, ..., N}, so for
+a product input x (x) b the work distribution is N + 2 masses.  With
+c = 1^T r00, S(m) = b_1 + ... + b_m and S(0) = 0, the mass at offset j is
+
+  j = -1:          (1^T r10 x) S(N)
+  0 <= j < N:      b_0 c r01^j x + S(N-1-j) c r01^j r11 x + b_{N-j} 1^T r01^j r11 x
+  j = N:           b_0 1^T r01^N x
+
+The three terms of the middle line come from column 0, from the interior
+columns 1..N-1-j, and from the top-row completion of column N-j (for
+j = 0 that is the r11 block of column N).  `ladder_work_distribution`
+evaluates these from the vector recursions r01^j x and r01^j r11 x in
+O(N d^2) time, without forming the (d(N+1))^2 matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batteries import WorkDistribution
 from .channels import (
     ETIReport,
     ThermalChannel,
@@ -28,25 +43,36 @@ from .channels import (
     extract_subchannels,
     validate,
 )
-from .errors import Infeasible, NonConvergentSeries
+from .errors import DimensionMismatch, DomainError, Infeasible, NonConvergentSeries
 from .feasibility import formation_feasible_at, formation_gap_from_equilibrium
-from .spectra import DiagonalState, EnergySpectrum, gibbs_state
+from .spectra import DiagonalState, EnergySpectrum
 
 TAIL_TOL = 1e-12
+# Largest automatic battery size `thermops construct` writes as a dense
+# channel (a 128 MB matrix at d = 2); the matrix-free paths have no limit.
 MAX_BATTERY_SIZE = 2000
+# Spectral radius of r01 at or above 1 - SERIES_MARGIN counts as divergent.
+SERIES_MARGIN = 1e-10
 
 
-def _ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
+def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
+    """Battery spectrum of the (num_quanta+1)-level ladder extension."""
     if delta > 0:
         return EnergySpectrum.oscillator(num_quanta, delta)
     # Degenerate gap (delta = 0) arises only for trivial transitions.
     return EnergySpectrum(levels=(0.0,) * (num_quanta + 1), label="oscillator")
 
 
+def _require_ladder(num_quanta: int) -> None:
+    if num_quanta < 2:
+        raise DomainError(
+            f"extension needs at least a 3-level battery (num_quanta >= 2), got {num_quanta}"
+        )
+
+
 def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> ThermalChannel:
     """Build the completed (N+1)-level extension of a wit operation."""
-    if num_quanta < 2:
-        raise ValueError("extension needs at least a 3-level battery (num_quanta >= 2)")
+    _require_ladder(num_quanta)
     sub.check()
     d, n = sub.dim, num_quanta
     nb = n + 1
@@ -71,13 +97,59 @@ def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> ThermalChannel
     r4[:, n - 1, :, n] = sub.r10
     r4[:, n, :, n] = sub.r11
 
-    return ThermalChannel(
-        r4.reshape(d * nb, d * nb),
-        sub.system,
-        sub.system,
-        _ladder_spectrum(n, sub.delta),
-        sub.beta,
-    )
+    matrix = r4.reshape(d * nb, d * nb)
+    matrix.setflags(write=False)
+    return ThermalChannel(matrix, sub.system, sub.system, ladder_spectrum(n, sub.delta), sub.beta)
+
+
+def _power_orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """m^j v for j = 0..count-1, stacked along a new first axis.
+
+    Works in blocks of about sqrt(count) steps with one batched product per
+    block, so the Python loops take O(sqrt(count)) steps, not count.
+    """
+    block = max(1, int(np.sqrt(count)))
+    powers = np.empty((block, *m.shape))
+    powers[0] = np.eye(len(m))
+    for j in range(1, block):
+        powers[j] = m @ powers[j - 1]
+    out = np.empty((count, *v.shape))
+    for i in range(0, count, block):
+        chunk = powers[: count - i] @ v
+        out[i : i + len(chunk)] = chunk
+        v = m @ chunk[-1]
+    return out
+
+
+def ladder_work_distribution(
+    sub: WitSubchannels, num_quanta: int, sys: DiagonalState, bat: DiagonalState
+) -> WorkDistribution:
+    """Work distribution of the completed ladder extension, straight from the wit blocks.
+
+    Equals work_distribution(extend_to_oscillator(sub, num_quanta), sys, bat)
+    up to the order of summation, in O(N d^2) time and O(N d) memory; the
+    offset masses are the sums in the module docstring.
+    """
+    _require_ladder(num_quanta)
+    sub.check()
+    n = num_quanta
+    if len(sys.spectrum) != sub.dim or len(bat.spectrum) != n + 1:
+        raise DimensionMismatch("state dimensions do not match the ladder extension")
+    x, b = sys.probs, bat.probs
+
+    # Row j of `krylov` holds (r01^j x, r01^j r11 x) side by side.
+    krylov = _power_orbit(sub.r01, np.column_stack((x, sub.r11 @ x)), n + 1)
+    c = sub.r00.sum(axis=0)
+    from_vacuum = krylov[:n, :, 0] @ c
+    series = krylov[:n, :, 1] @ c
+    top = krylov[:n, :, 1].sum(axis=1)
+    above = np.concatenate(([0.0], np.cumsum(b[1:])))  # above[m] = S(m)
+
+    masses = np.empty(n + 2)
+    masses[0] = (sub.r10 @ x).sum() * above[n]
+    masses[1:-1] = b[0] * from_vacuum + above[n - 1::-1] * series + b[n:0:-1] * top
+    masses[-1] = b[0] * krylov[n, :, 0].sum()
+    return WorkDistribution(support=sub.delta * np.arange(-1, n + 1), probs=masses)
 
 
 def truncation_tail(sub: WitSubchannels, num_quanta: int) -> float:
@@ -86,39 +158,43 @@ def truncation_tail(sub: WitSubchannels, num_quanta: int) -> float:
     return float(np.abs(p).sum(axis=0).max())
 
 
-def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL, cap: int = MAX_BATTERY_SIZE) -> int:
-    """Smallest N with ||r01^N||_1 below tol, capped."""
-    p = sub.r01.copy()
-    n = 1
-    while float(np.abs(p).sum(axis=0).max()) > tol and n < cap:
-        p = p @ sub.r01
-        n += 1
-    return max(n, 2)
+def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL, cap: int | None = None) -> int:
+    """Smallest N >= 2 with truncation_tail(sub, N) <= tol; an explicit cap ends the search there.
+
+    The columns of a valid r01 sum to at most 1, so the tail ||r01^N||_1
+    does not grow with N: the search doubles N until the tail is small
+    enough and then bisects, O(log^2 N) products of d x d blocks.  Without
+    a cap the doubling ends only if r01 has spectral radius below 1, which
+    is checked first.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tail tolerance must be positive, got {tol}")
+    if cap is None:
+        _require_convergent(sub.r01)
+    lo, hi = 1, 2  # the answer lies in (lo, hi] once the tail at hi is small
+    while truncation_tail(sub, hi) > tol:
+        if cap is not None and hi >= cap:
+            return max(cap, 2)
+        lo, hi = hi, 2 * hi if cap is None else min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_tail(sub, mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def _spectral_radius_bound(m: np.ndarray, steps: int = 200, tol: float = 1e-10) -> float:
-    """Power iteration on |m|; upper-bounds the spectral radius of m."""
-    a = np.abs(m)
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    radius = 0.0
-    for _ in range(steps):
-        w = a @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        new_radius = nrm
-        if abs(new_radius - radius) <= tol * max(1.0, new_radius):
-            return new_radius
-        radius = new_radius
-        v = w / nrm
-    return radius
+def _require_convergent(r01: np.ndarray) -> None:
+    """Raise unless sum_n r01^n converges with margin: spectral radius below 1 - SERIES_MARGIN."""
+    radius = float(np.max(np.abs(np.linalg.eigvals(r01))))
+    if radius >= 1.0 - SERIES_MARGIN:
+        raise NonConvergentSeries(f"spectral radius of r01 is {radius}, too close to 1")
 
 
 def closed_form_average_work(sub: WitSubchannels, x: DiagonalState) -> float:
     """<w> = delta (1^T (I - r01)^{-1} r11 x - 1) for interior battery inputs."""
-    radius = _spectral_radius_bound(sub.r01)
-    if radius >= 1.0 - 1e-10:
-        raise NonConvergentSeries(f"spectral radius bound {radius} too close to 1")
+    _require_convergent(sub.r01)
     d = sub.dim
     series = np.linalg.solve(np.eye(d) - sub.r01, sub.r11 @ x.probs)
     return float(sub.delta * (series.sum() - 1.0))
@@ -217,11 +293,3 @@ def theorem3_deterministic_work(
     sub = formation_subchannels(sigma, beta, delta)
     channel = extend_to_oscillator(sub, num_quanta)
     return channel, delta
-
-
-def gibbs_product_state(channel: ThermalChannel, which: str = "in") -> DiagonalState:
-    """tau_S (x) tau_W for the channel's spectra; the fixed point of any valid map."""
-    sys = channel.sys_in if which == "in" else channel.sys_out
-    return DiagonalState.product(
-        gibbs_state(sys, channel.beta), gibbs_state(channel.battery, channel.beta)
-    )

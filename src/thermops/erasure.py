@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batteries import (
-    CostFunction,
-    WorkDistribution,
-    average_work,
-    general_cost,
-    variance,
-    work_distribution,
-)
+from .batteries import CostFunction, WorkDistribution, average_work, general_cost, variance
 from .channels import WitSubchannels
-from .construction import auto_battery_size, extend_to_oscillator, truncation_tail
+from .construction import (
+    auto_battery_size,
+    ladder_spectrum,
+    ladder_work_distribution,
+    truncation_tail,
+)
 from .errors import DomainError, PoleError
 from .spectra import DiagonalState, EnergySpectrum, binary_entropy
 
@@ -186,17 +184,27 @@ def erasure_battery_state(gamma: float, battery: EnergySpectrum) -> DiagonalStat
     return DiagonalState(probs=p, spectrum=battery)
 
 
-def oscillator_erasure_stats(
-    eps: float, gamma: float, num_quanta: int | None = None, beta: float = 1.0
-) -> StatsReport:
-    """Run the extended erasure channel and compare with the closed forms."""
+def _erasure_ladder_work(
+    eps: float, gamma: float, num_quanta: int | None, beta: float
+) -> tuple[WitSubchannels, int, WorkDistribution]:
+    """Erasure blocks, ladder size (automatic if None), and the ladder's work distribution.
+
+    The ladder is never built: the work distribution comes from the wit
+    blocks in O(N), so the automatic size has no cap.
+    """
     sub = oscillator_erasure_subchannels(eps, beta)
     if num_quanta is None:
         num_quanta = auto_battery_size(sub)
-    channel = extend_to_oscillator(sub, num_quanta)
     sys = DiagonalState(np.full(2, 0.5), sub.system)
-    bat = erasure_battery_state(gamma, channel.battery)
-    wd = work_distribution(channel, sys, bat)
+    bat = erasure_battery_state(gamma, ladder_spectrum(num_quanta, sub.delta))
+    return sub, num_quanta, ladder_work_distribution(sub, num_quanta, sys, bat)
+
+
+def oscillator_erasure_stats(
+    eps: float, gamma: float, num_quanta: int | None = None, beta: float = 1.0
+) -> StatsReport:
+    """Simulate the extended erasure channel and compare with the closed forms."""
+    sub, num_quanta, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
     return StatsReport(
         eps=eps,
         gamma=gamma,
@@ -255,13 +263,7 @@ def exp_cost_oscillator(
     eps: float, gamma: float, beta: float = 1.0, num_quanta: int | None = None
 ) -> ExpCostReport:
     """Direct F[p(w)] with f(x) = e^{|x|} - 1 on the extended erasure channel."""
-    sub = oscillator_erasure_subchannels(eps, beta)
-    if num_quanta is None:
-        num_quanta = auto_battery_size(sub)
-    channel = extend_to_oscillator(sub, num_quanta)
-    sys = DiagonalState(np.full(2, 0.5), sub.system)
-    bat = erasure_battery_state(gamma, channel.battery)
-    wd = work_distribution(channel, sys, bat)
+    sub, num_quanta, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
     cost = CostFunction(evaluator=lambda x: np.expm1(abs(x)), tag="exp")
     direct = general_cost(wd, cost)
     tail_ratio = float(np.exp(beta * sub.delta) / (2.0 * (1.0 - eps)))

@@ -57,8 +57,12 @@ class PreconditionViolated(ThermopsError):
     """Inputs outside the regime a theorem speaks about."""
 
 
-class DomainError(ThermopsError):
-    """Parameter outside its valid domain."""
+class DomainError(ThermopsError, ValueError):
+    """Parameter outside its valid domain.
+
+    Also a ValueError, so callers that guard bad arguments with the builtin
+    keep working.
+    """
 
 
 class PoleError(ThermopsError):

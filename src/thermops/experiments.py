@@ -8,6 +8,7 @@ give byte-identical tables.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -515,5 +516,17 @@ def run_experiment(name: str, overrides: dict[str, Any]) -> ExperimentResult:
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise DomainError(f"unknown config keys for {name}: {sorted(unknown)}")
-    cfg = {**defaults, **overrides}
+    cfg = dict(defaults)
+    for key, value in overrides.items():
+        cfg[key] = _typed_config_value(name, key, value, defaults[key])
     return fn(cfg)
+
+
+def _typed_config_value(name: str, key: str, value: Any, default: Any) -> Any:
+    """An override converted to its default's type; an integer passes where a float is expected."""
+    kind = numbers.Real if isinstance(default, float) else numbers.Integral
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(
+            f"config key {key!r} of {name} takes a {type(default).__name__}, got {value!r}"
+        )
+    return type(default)(value)

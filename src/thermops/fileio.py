@@ -90,21 +90,38 @@ def channel_to_text(channel: ThermalChannel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbers(line: str, what: str) -> list[float]:
+    try:
+        return [float(x) for x in line.split()]
+    except ValueError as exc:
+        raise DomainError(f"channel file {what} line is not a list of numbers: {line!r}") from exc
+
+
 def channel_from_text(text: str) -> ThermalChannel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 5:
+        raise DomainError(
+            f"channel file has {len(lines)} non-empty lines; it needs a header, "
+            "three spectrum lines and the matrix rows"
+        )
     head = lines[0].split()
+    header_error = DomainError("channel header must be `d_sys_in d_sys_out n_battery beta`")
     if len(head) != 4:
-        raise DomainError("channel header must be `d_sys_in d_sys_out n_battery beta`")
-    d_in, d_out, nb = int(head[0]), int(head[1]), int(head[2])
-    beta = float(head[3])
-    sys_in = EnergySpectrum(tuple(float(x) for x in lines[1].split()), "sys_in")
-    sys_out = EnergySpectrum(tuple(float(x) for x in lines[2].split()), "sys_out")
-    battery = EnergySpectrum(tuple(float(x) for x in lines[3].split()), "battery")
+        raise header_error
+    try:
+        d_in, d_out, nb = int(head[0]), int(head[1]), int(head[2])
+        beta = float(head[3])
+    except ValueError as exc:
+        raise header_error from exc
+    sys_in = EnergySpectrum(tuple(_numbers(lines[1], "sys_in")), "sys_in")
+    sys_out = EnergySpectrum(tuple(_numbers(lines[2], "sys_out")), "sys_out")
+    battery = EnergySpectrum(tuple(_numbers(lines[3], "battery")), "battery")
     if len(sys_in) != d_in or len(sys_out) != d_out or len(battery) != nb:
         raise DimensionMismatch("spectra lines disagree with the header dimensions")
-    rows = [np.array([float(x) for x in ln.split()]) for ln in lines[4:]]
-    matrix = np.vstack(rows)
-    return ThermalChannel(matrix, sys_in, sys_out, battery, beta)
+    rows = [_numbers(ln, "matrix") for ln in lines[4:]]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("matrix rows differ in length")
+    return ThermalChannel(np.array(rows), sys_in, sys_out, battery, beta)
 
 
 def write_channel(path: str, channel: ThermalChannel) -> None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DomainError,
     IndexOutOfRange,
     OverflowRisk,
     SpectrumMismatch,
@@ -37,7 +38,7 @@ def logsumexp(a: np.ndarray) -> float:
 def binary_entropy(x: float) -> float:
     """h(x) = -(1-x)ln(1-x) - x ln x, continuous at the endpoints."""
     if x < 0.0 or x > 1.0:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
+        raise DomainError(f"binary entropy argument {x} outside [0, 1]")
     out = 0.0
     if 0.0 < x:
         out -= x * np.log(x)
@@ -55,10 +56,10 @@ class EnergySpectrum:
 
     def __post_init__(self):
         if len(self.levels) == 0:
-            raise ValueError("spectrum needs at least one level")
+            raise DomainError("spectrum needs at least one level")
         arr = np.asarray(self.levels, dtype=float)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("spectrum levels must be finite")
+            raise DomainError("spectrum levels must be finite")
         object.__setattr__(self, "levels", tuple(float(x) for x in arr))
 
     def __len__(self) -> int:
@@ -77,16 +78,16 @@ class EnergySpectrum:
     def oscillator(cls, num_quanta: int, delta: float, label: str = "oscillator") -> "EnergySpectrum":
         """Uniform ladder eps_k = k*delta for k = 0..num_quanta (num_quanta+1 levels)."""
         if num_quanta < 1:
-            raise ValueError("oscillator needs num_quanta >= 1")
+            raise DomainError("oscillator needs num_quanta >= 1")
         if delta <= 0:
-            raise ValueError("oscillator spacing must be positive")
+            raise DomainError("oscillator spacing must be positive")
         return cls(levels=tuple(k * delta for k in range(num_quanta + 1)), label=label)
 
     @classmethod
     def wit(cls, delta: float, label: str = "wit") -> "EnergySpectrum":
         """Two-level battery {0, delta}."""
         if delta < 0:
-            raise ValueError("wit gap must be non-negative")
+            raise DomainError("wit gap must be non-negative")
         return cls(levels=(0.0, delta), label=label)
 
     def uniform_spacing(self, tol: float = 1e-12) -> float | None:
@@ -123,11 +124,11 @@ class DiagonalState:
                 f"state has {p.size} entries for a {len(self.spectrum)}-level spectrum"
             )
         if np.min(p) < -1e-15:
-            raise ValueError(f"negative probability {np.min(p)}")
+            raise DomainError(f"negative probability {np.min(p)}")
         p = np.clip(p, 0.0, None)
         total = p.sum()
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+            raise DomainError(f"probabilities sum to {total}, expected 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -146,7 +147,7 @@ class DiagonalState:
 
 def _check_exp_range(spectrum: EnergySpectrum, beta: float) -> None:
     if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+        raise DomainError(f"beta must be positive, got {beta}")
     worst = beta * np.max(np.abs(spectrum.array))
     if worst > EXP_GUARD:
         raise OverflowRisk(f"beta*|E| = {worst} exceeds the {EXP_GUARD} guard")

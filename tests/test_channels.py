@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thermops.channels import (
+    ThermalChannel,
     WitSubchannels,
     apply,
     check_eti,
@@ -48,6 +49,22 @@ class TestValidate:
             identity_channel(small_sys(), ladder(), 1.0).__class__(
                 np.eye(3), small_sys(), small_sys(), ladder(), 1.0
             )
+
+
+class TestChannelStorage:
+    def test_frozen_matrix_is_shared(self):
+        m = np.eye(2 * 7)
+        m.setflags(write=False)
+        ch = ThermalChannel(m, small_sys(), small_sys(), ladder(), 1.0)
+        assert np.shares_memory(ch.matrix, m)
+
+    def test_writeable_matrix_is_copied(self):
+        m = np.eye(2 * 7)
+        ch = ThermalChannel(m, small_sys(), small_sys(), ladder(), 1.0)
+        assert not np.shares_memory(ch.matrix, m)
+        assert not ch.matrix.flags.writeable
+        m[0, 0] = 0.5
+        assert ch.matrix[0, 0] == 1.0
 
 
 class TestApply:

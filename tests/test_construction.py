@@ -7,6 +7,7 @@ from thermops.channels import (
     WitSubchannels,
     apply,
     extract_subchannels,
+    random_gibbs_stochastic,
     validate,
 )
 from thermops.construction import (
@@ -14,12 +15,13 @@ from thermops.construction import (
     closed_form_average_work,
     extend_to_oscillator,
     formation_subchannels,
+    ladder_work_distribution,
     theorem3_deterministic_work,
     truncation_tail,
     verify_extension,
 )
 from thermops.erasure import oscillator_erasure_subchannels
-from thermops.errors import InvalidSubchannels, NonConvergentSeries
+from thermops.errors import DimensionMismatch, DomainError, InvalidSubchannels, NonConvergentSeries
 from thermops.experiments import random_wit_subchannels, thermalization_subchannels
 from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state
 
@@ -98,6 +100,66 @@ class TestExtension:
         assert above.appendix_max_violation > 0.1
 
 
+def random_wit(dim, seed):
+    """Seeded valid wit operation on a `dim`-level system."""
+    rng = np.random.default_rng(seed)
+    sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, dim))), "sys")
+    channel = random_gibbs_stochastic(
+        sys, EnergySpectrum.wit(float(rng.uniform(0.8, 1.6))), 1.0, seed=seed, num_mixes=30
+    )
+    return WitSubchannels.from_channel(channel)
+
+
+def masses_by_offset(wd, delta):
+    """Work probabilities keyed by the battery offset w / delta."""
+    out = {}
+    for w, p in zip(wd.support, wd.probs):
+        j = int(round(w / delta))
+        out[j] = out.get(j, 0.0) + p
+    return out
+
+
+class TestLadderWorkDistribution:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_matches_dense_extension(self, dim, n):
+        rng = np.random.default_rng([dim, n])
+        for trial in range(3):
+            sub = random_wit(dim, 100 * dim + trial)
+            ch = extend_to_oscillator(sub, n)
+            x = DiagonalState(rng.dirichlet(np.ones(dim)), sub.system)
+            batteries = [
+                DiagonalState.pure(0, ch.battery),
+                DiagonalState.pure(n, ch.battery),
+                DiagonalState.pure(n // 2 if n > 2 else 1, ch.battery),
+                DiagonalState(rng.dirichlet(np.ones(n + 1)), ch.battery),
+            ]
+            for bat in batteries:
+                dense = masses_by_offset(work_distribution(ch, x, bat), sub.delta)
+                fast = masses_by_offset(ladder_work_distribution(sub, n, x, bat), sub.delta)
+                assert set(fast) <= set(range(-1, n + 1))
+                for j in set(dense) | set(fast):
+                    assert abs(dense.get(j, 0.0) - fast.get(j, 0.0)) <= 1e-14
+
+    def test_support_is_the_offset_ladder(self):
+        sub = random_wit(3, 5)
+        battery = EnergySpectrum.oscillator(10, sub.delta)
+        x = DiagonalState(np.full(3, 1.0 / 3.0), sub.system)
+        bat = DiagonalState(np.full(11, 1.0 / 11.0), battery)
+        wd = ladder_work_distribution(sub, 10, x, bat)
+        assert np.array_equal(wd.support, sub.delta * np.arange(-1, 11))
+
+    def test_rejects_short_ladder_and_mismatched_states(self):
+        sub = oscillator_erasure_subchannels(0.1)
+        x = DiagonalState(np.full(2, 0.5), sub.system)
+        two = EnergySpectrum.oscillator(1, sub.delta)
+        with pytest.raises(DomainError):
+            ladder_work_distribution(sub, 1, x, DiagonalState.pure(1, two))
+        ten = EnergySpectrum.oscillator(10, sub.delta)
+        with pytest.raises(DimensionMismatch):
+            ladder_work_distribution(sub, 8, x, DiagonalState.pure(1, ten))
+
+
 class TestVerifyExtension:
     def test_all_audits_pass_on_random_extensions(self):
         for trial in range(5):
@@ -160,7 +222,7 @@ class TestClosedFormAverageWork:
 
 class TestBatterySizing:
     def test_auto_size_controls_tail(self):
-        for eps in (0.0, 0.2, 0.4):
+        for eps in (0.0, 0.2, 0.4, 0.499):  # 0.499 needs N = 13,830: no silent cap
             sub = oscillator_erasure_subchannels(eps)
             n = auto_battery_size(sub)
             assert truncation_tail(sub, n) <= 1e-12
@@ -169,6 +231,15 @@ class TestBatterySizing:
     def test_cap(self):
         sub = oscillator_erasure_subchannels(0.49)
         assert auto_battery_size(sub, cap=50) == 50
+
+    def test_unit_spectral_radius_has_no_size(self):
+        sub = WitSubchannels(
+            r00=np.zeros((2, 2)), r01=np.eye(2), r10=np.eye(2), r11=np.zeros((2, 2)),
+            delta=0.0, beta=1.0, system=qubit(),
+        )
+        with pytest.raises(NonConvergentSeries):
+            auto_battery_size(sub)
+        assert auto_battery_size(sub, cap=7) == 7
 
 
 class TestTheorem3:

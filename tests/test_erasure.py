@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thermops.batteries import average_work, variance
+from thermops.batteries import CostFunction, average_work, general_cost, variance, work_distribution
+from thermops.construction import extend_to_oscillator
 from thermops.erasure import (
     ErasureSetting,
+    erasure_battery_state,
     exp_cost_oscillator,
     exp_cost_oscillator_closed_form,
     exp_cost_weight_bound,
@@ -19,6 +21,7 @@ from thermops.erasure import (
     weight_variance,
 )
 from thermops.errors import DomainError, PoleError
+from thermops.spectra import DiagonalState
 
 LN2 = np.log(2.0)
 
@@ -144,6 +147,16 @@ class TestOscillatorStats:
     def test_domain(self):
         with pytest.raises(DomainError):
             oscillator_erasure_stats(0.6, 0.1)
+        with pytest.raises(DomainError):
+            oscillator_erasure_stats(0.1, 0.25, num_quanta=1)
+
+    def test_cells_beyond_the_dense_limit(self):
+        # Ladders taller than any dense channel the package builds.
+        for eps, n in ((0.495, 2777), (0.499, 13830)):
+            r = oscillator_erasure_stats(eps, 0.25)
+            assert r.num_quanta == n
+            assert r.tail <= 1e-12
+            assert r.avg_rel_err < 1e-10 and r.var_rel_err < 1e-10
 
 
 class TestExpCost:
@@ -162,6 +175,16 @@ class TestExpCost:
         big = exp_cost_oscillator(0.1, 0.2, num_quanta=80)
         assert big.direct > 1.5 * small.direct
         assert_allclose(small.tail_ratio, 1.0, rtol=1e-12)
+
+    def test_matches_dense_extension(self):
+        cost = CostFunction(evaluator=lambda x: np.expm1(abs(x)), tag="exp")
+        for n in (40, 80):
+            sub = oscillator_erasure_subchannels(0.1)
+            ch = extend_to_oscillator(sub, n)
+            sys = DiagonalState(np.full(2, 0.5), sub.system)
+            wd = work_distribution(ch, sys, erasure_battery_state(0.2, ch.battery))
+            report = exp_cost_oscillator(0.1, 0.2, num_quanta=n)
+            assert abs(report.direct - general_cost(wd, cost)) <= 1e-12
 
     def test_direct_grows_with_gamma(self):
         lo = exp_cost_oscillator(0.2, 0.05, num_quanta=60)

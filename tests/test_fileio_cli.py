@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from thermops.channels import random_gibbs_stochastic
 from thermops.cli import main
+from thermops.construction import MAX_BATTERY_SIZE
+from thermops.erasure import oscillator_erasure_subchannels
 from thermops.errors import DomainError
 from thermops.fileio import (
     channel_from_text,
@@ -67,6 +69,11 @@ class TestChannelFile:
         with pytest.raises(DomainError):
             channel_from_text("1 2 3\n0\n0\n0\n1\n")
 
+    def test_malformed_text_rejected(self):
+        for text in ("", "1 1 2 x\n0\n0\n0 1\n1 0\n0 1\n", "1 1 2 1\n0\n0\n0 1\n1 0\n0 z\n"):
+            with pytest.raises(DomainError):
+                channel_from_text(text)
+
 
 class TestCsv:
     def test_floats_use_17_digits(self):
@@ -121,6 +128,13 @@ class TestCli:
         cfg.write_text("bogus_key = 3\n")
         code = main(["run", "fig4", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_integer_config_value_for_float_key(self, tmp_path):
+        cfg = tmp_path / "int.cfg"
+        cfg.write_text("beta = 1\n")
+        assert main(["run", "fig4", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "fig4_manifest.json").read_text())
+        assert manifest["config"]["beta"] == 1.0 and isinstance(manifest["config"]["beta"], float)
 
     def test_example2_exit_codes(self, tmp_path):
         assert main(["run", "example2", "--a", "0.6", "--out", str(tmp_path / "x")]) == 0
@@ -187,3 +201,51 @@ class TestCli:
 
     def test_fig_alias(self, tmp_path):
         assert main(["fig4", "--out", str(tmp_path / "f")]) == 0
+
+
+def _error_record(capsys) -> dict:
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(record) == {"error", "message"}
+    return record
+
+
+class TestCliErrors:
+    """Bad input ends in one JSON error record on stderr and exit code 2."""
+
+    def test_validate_empty_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["validate", str(empty)]) == 2
+        assert _error_record(capsys)["error"] == "DomainError"
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("beta = abc\n")
+        assert main(["run", "fig4", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "beta" in record["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_erasure_stats_short_ladder(self, capsys):
+        assert main(["erasure", "stats", "--eps", "0.1", "--gamma", "0.25", "--num-quanta", "1"]) == 2
+        assert _error_record(capsys)["error"] == "DomainError"
+
+    def test_certify_with_empty_band(self, tmp_path, capsys):
+        assert main(["run", "certify-thm1", "--num-quanta", "3", "--out", str(tmp_path / "o")]) == 2
+        assert "band" in _error_record(capsys)["message"]
+
+    def test_construct_refuses_large_automatic_size(self, tmp_path, capsys):
+        sub = oscillator_erasure_subchannels(0.495)
+        sub_file = tmp_path / "sub.cfg"
+        sub_file.write_text(
+            f"delta = {float(sub.delta)!r}\nbeta = 1.0\nsys_levels = [0.0, 0.0]\n"
+            + "".join(f"{name} = {json.dumps(getattr(sub, name.lower()).tolist())}\n"
+                      for name in ("R00", "R01", "R10", "R11"))
+        )
+        out = tmp_path / "channel.txt"
+        code = main(["construct", "--subchannels", str(sub_file), "--out", str(out),
+                     "--report", str(tmp_path / "report.json")])
+        assert code == 2
+        message = _error_record(capsys)["message"]
+        assert "N = 2777" in message and f"N = {MAX_BATTERY_SIZE}" in message
+        assert not out.exists()
