@@ -19,7 +19,6 @@ from .channels import (
     WitSubchannels,
     apply,
     check_eti,
-    compose,
     extract_subchannels,
     identity_channel,
     random_gibbs_stochastic,
@@ -33,7 +32,6 @@ from .feasibility import (
     thermo_majorizes,
 )
 from .batteries import (
-    BatteryModel,
     CheckReport,
     CostFunction,
     WorkDistribution,
@@ -43,7 +41,6 @@ from .batteries import (
     theorem4_check,
     variance,
     work_distribution,
-    work_distribution_joint,
 )
 from .construction import (
     ExtensionReport,
@@ -66,7 +63,6 @@ from .bounds import (
     theorem2_bound,
 )
 from .erasure import (
-    ErasureSetting,
     StatsReport,
     exp_cost_oscillator,
     exp_cost_weight_bound,

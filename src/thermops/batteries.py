@@ -1,4 +1,4 @@
-"""Battery models, work distributions, and fluctuation measures.
+"""Work distributions and fluctuation measures.
 
 Work is the battery energy jump w = eps_k' - eps_k induced by one channel
 run; its distribution is the object every fluctuation measure acts on.
@@ -13,33 +13,9 @@ import numpy as np
 
 from .channels import ThermalChannel, apply, battery_marginal
 from .errors import DimensionMismatch, DomainError, PreconditionViolated
-from .spectra import DiagonalState, EnergySpectrum
+from .spectra import DiagonalState
 
 MERGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BatteryModel:
-    """One of the three battery families, with its derived spectrum."""
-
-    kind: str
-    spectrum: EnergySpectrum
-
-    @classmethod
-    def wit(cls, delta: float) -> "BatteryModel":
-        return cls(kind="wit", spectrum=EnergySpectrum.wit(delta))
-
-    @classmethod
-    def oscillator(cls, num_quanta: int, delta: float) -> "BatteryModel":
-        return cls(kind="oscillator", spectrum=EnergySpectrum.oscillator(num_quanta, delta))
-
-    @classmethod
-    def weight_point_masses(cls, values: list[float]) -> "BatteryModel":
-        """Ideal-weight surrogate: finite set of shift values, duplicates merged."""
-        vals = sorted(set(float(v) for v in values))
-        if not vals or not all(np.isfinite(vals)):
-            raise DomainError("weight point masses must be a non-empty finite set")
-        return cls(kind="weight", spectrum=EnergySpectrum(levels=tuple(vals), label="weight"))
 
 
 def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,19 +91,9 @@ def work_distribution(
     """p(w) = sum over (k,k') with eps_k'-eps_k = w of the transfer mass."""
     if len(bat.spectrum) != channel.n_battery or len(sys.spectrum) != channel.d_in:
         raise DimensionMismatch("state dimensions do not match the channel")
-    joint = np.outer(sys.probs, bat.probs)  # [s, k]
-    return _work_distribution_portable(channel, joint)
-
-
-def work_distribution_joint(channel: ThermalChannel, joint: DiagonalState) -> WorkDistribution:
-    nb = channel.n_battery
-    return _work_distribution_portable(channel, joint.probs.reshape(channel.d_in, nb))
-
-
-def _work_distribution_portable(channel: ThermalChannel, joint_sk: np.ndarray) -> WorkDistribution:
     r4 = channel.blocks()
-    # mass[k', k] = sum_{s', s} r(s'k'|sk) * joint(s, k)
-    mass = np.einsum("aibj,bj->ij", r4, joint_sk)
+    # mass[k', k] = sum_{s', s} r(s'k'|sk) * p(s) q(k)
+    mass = np.einsum("aibj,bj->ij", r4, np.outer(sys.probs, bat.probs))
     eps = channel.battery.array
     works = (eps[:, None] - eps[None, :]).ravel()
     return WorkDistribution(support=works, probs=mass.ravel())

@@ -177,83 +177,63 @@ def battery_marginal(joint: DiagonalState, d_sys: int, n_battery: int) -> np.nda
     return joint.probs.reshape(d_sys, n_battery).sum(axis=0)
 
 
-def compose(second: ThermalChannel, first: ThermalChannel) -> ThermalChannel:
-    """Channel running `first` then `second` (matching spectra required)."""
-    if first.sys_out != second.sys_in or first.battery != second.battery:
-        raise SpectrumMismatch("composition requires matching intermediate spectra")
-    if first.beta != second.beta:
-        raise DomainError("composition requires equal beta")
-    return ThermalChannel(
-        second.matrix @ first.matrix, first.sys_in, second.sys_out, first.battery, first.beta
-    )
-
-
 @dataclass(frozen=True)
 class ETIReport:
-    """Translation-invariance audit above a threshold battery level."""
+    """Translation-invariance audit above a threshold battery level.
+
+    `worst` is (s', s, k at the max, k at the min, d): the entry and the
+    two input levels of band d = k' - k where the largest deviation lies.
+    """
 
     holds: bool
     convention: str
     max_violation: float
     worst: tuple | None
-    main_max_violation: float
-    appendix_max_violation: float
     k_min: int
     row_max: int
     col_max: int
     tol: float
 
 
-def _band_violation_main(r4: np.ndarray, k_min: int, row_max: int, col_max: int):
-    """Max |r(s'k'|sk) - r(s',k'+n|s,k+n)| over the main-text window.
+def _band_violation(r4: np.ndarray, k_min: int, row_max: int, col_max: int, convention: str):
+    """Max |r(s'k'|sk) - r(s',k'+n|s,k+n)| over one window, band by band.
 
-    Window: rows k, k+n in [k_min, row_max], columns k', k'+n in [0, col_max].
-    Equivalent per band d = k'-k: all blocks with k in the valid range equal.
+    On band d = k' - k the base blocks take k in [max(k_min, -d), hi] and
+    the shifted blocks k in [t_lo, hi], hi = min(row_max, col_max - d);
+    t_lo is max(k_min, -d) for "main" and max(0, k_min - d) for
+    "appendix".  One range holds the other, so one gather serves both.
+    The band's deviation is max(max_base - min_shifted, max_shifted -
+    min_base), which is max - min when the two ranges coincide.
     """
     worst = 0.0
     where = None
+    levels = np.arange(r4.shape[3])
     for d in range(-col_max, col_max + 1):
-        k_lo = max(k_min, -d)
-        k_hi = min(row_max, col_max - d)
-        if k_hi - k_lo < 1:
+        lo = max(k_min, -d)
+        hi = min(row_max, col_max - d)
+        t_lo = lo if convention == "main" else max(0, k_min - d)
+        k0 = min(lo, t_lo)
+        if hi < lo or hi < t_lo:
             continue
-        ks = np.arange(k_lo, k_hi + 1)
+        ks = levels[k0 : hi + 1]
         vals = r4[:, ks + d, :, ks]  # shape (len(ks), d_out, d_in)
-        hi = vals.max(axis=0)
-        lo = vals.min(axis=0)
-        dev = hi - lo
+        if t_lo == lo:
+            top, bottom = vals.max(axis=0), vals.min(axis=0)
+            s_bottom = bottom
+            dev = top - bottom
+        else:
+            base, shifted = vals[lo - k0 :], vals[t_lo - k0 :]
+            top, bottom = base.max(axis=0), base.min(axis=0)
+            s_top, s_bottom = shifted.max(axis=0), shifted.min(axis=0)
+            dev = np.maximum(top - s_bottom, s_top - bottom)
         band_worst = float(dev.max())
         if band_worst > worst:
             worst = band_worst
             a, b = np.unravel_index(np.argmax(dev), dev.shape)
-            k_at_hi = ks[int(np.argmax(vals[:, a, b]))]
-            k_at_lo = ks[int(np.argmin(vals[:, a, b]))]
-            where = (int(a), int(b), int(k_at_hi), int(k_at_lo), int(d))
-    return worst, where
-
-
-def _band_violation_appendix(r4: np.ndarray, k_min: int, row_max: int, col_max: int):
-    """Appendix window: base rows k >= k_min with 0 <= k+n <= row_max and
-    shifted columns k'+n >= k_min."""
-    worst = 0.0
-    where = None
-    for d in range(-col_max, col_max + 1):
-        b_lo, b_hi = max(k_min, -d), min(row_max, col_max - d)
-        t_lo, t_hi = max(0, k_min - d), min(row_max, col_max - d)
-        if b_hi < b_lo or t_hi < t_lo:
-            continue
-        if b_lo == t_lo and b_hi == t_hi and b_hi == b_lo:
-            continue
-        kb = np.arange(b_lo, b_hi + 1)
-        kt = np.arange(t_lo, t_hi + 1)
-        base = r4[:, kb + d, :, kb]
-        targ = r4[:, kt + d, :, kt]
-        dev = np.maximum(base.max(axis=0) - targ.min(axis=0), targ.max(axis=0) - base.min(axis=0))
-        band_worst = float(dev.max())
-        if band_worst > worst:
-            worst = band_worst
-            a, b = np.unravel_index(np.argmax(dev), dev.shape)
-            where = (int(a), int(b), int(kb[0]), int(kt[0]), int(d))
+            up, down = (lo, t_lo) if top[a, b] - s_bottom[a, b] == dev[a, b] else (t_lo, lo)
+            k_at_hi = up + int(np.argmax(vals[up - k0 :, a, b]))
+            k_at_lo = down + int(np.argmin(vals[down - k0 :, a, b]))
+            where = (int(a), int(b), k_at_hi, k_at_lo, int(d))
     return worst, where
 
 
@@ -267,9 +247,16 @@ def check_eti(
 ) -> ETIReport:
     """Verify r(s'k'|sk) = r(s',k'+n|s,k+n) for k >= k_min.
 
-    Both window conventions are evaluated and reported; `convention`
-    selects which one decides `holds`.  `row_max`/`col_max` restrict the
-    audit to an interior band (used to exclude the completed top row).
+    Each call audits one window, the one `convention` names:
+
+    - "main": input levels k, k+n in [k_min, row_max] and output levels
+      k', k'+n in [0, col_max];
+    - "appendix": the base block has k in [k_min, row_max] and k' in
+      [0, col_max], the shifted block k+n in [0, row_max] and k'+n in
+      [k_min, col_max].
+
+    `row_max`/`col_max` restrict the audit to an interior band (used to
+    exclude the completed top row).
     """
     if channel.battery.uniform_spacing() is None:
         raise NonUniformBattery("ETI is defined for uniformly spaced batteries")
@@ -281,17 +268,12 @@ def check_eti(
     if not (0 <= k_min <= row_max < nb and 0 <= col_max < nb):
         raise IndexOutOfRange("ETI band outside the battery range")
 
-    r4 = channel.blocks()
-    v_main, w_main = _band_violation_main(r4, k_min, row_max, col_max)
-    v_app, w_app = _band_violation_appendix(r4, k_min, row_max, col_max)
-    violation, where = (v_main, w_main) if convention == "main" else (v_app, w_app)
+    violation, where = _band_violation(channel.blocks(), k_min, row_max, col_max, convention)
     return ETIReport(
         holds=violation <= tol,
         convention=convention,
         max_violation=violation,
         worst=where,
-        main_max_violation=v_main,
-        appendix_max_violation=v_app,
         k_min=k_min,
         row_max=row_max,
         col_max=col_max,

@@ -40,7 +40,7 @@ def _experiment_overrides(args: argparse.Namespace) -> dict:
     if args.config:
         overrides.update(load_flat_config(args.config))
     for key in ("seed", "beta", "trials", "num_quanta", "a"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     return overrides
@@ -170,25 +170,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every experiment command takes these flags; an experiment without the
+    # matching config key rejects the override in run_experiment.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="flat key = value config file")
+    flags.add_argument("--seed", type=int)
+    flags.add_argument("--beta", type=float)
+    flags.add_argument("--trials", type=int)
+    flags.add_argument("--num-quanta", "--N", dest="num_quanta", type=int)
+    flags.add_argument("--a", type=float)
+    flags.add_argument("--out", default="out", help="output directory")
+    flags.add_argument("--json", action="store_true", help="print the manifest JSON")
+
     defaults_doc = "\n".join(
         f"  {name}: {defaults}" for name, (defaults, _) in sorted(EXPERIMENTS.items())
     )
     run_p = sub.add_parser(
         "run",
+        parents=[flags],
         help="run a named experiment",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="experiment config keys and defaults (config-file keys must be from this set):\n"
         + defaults_doc,
     )
     run_p.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run_p.add_argument("--config", help="flat key = value config file")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--beta", type=float, default=None)
-    run_p.add_argument("--trials", type=int, default=None)
-    run_p.add_argument("--num-quanta", "--N", dest="num_quanta", type=int, default=None)
-    run_p.add_argument("--a", type=float, default=None)
-    run_p.add_argument("--out", default="out", help="output directory")
-    run_p.add_argument("--json", action="store_true", help="print the manifest JSON")
     run_p.set_defaults(fn=_cmd_run)
 
     feas = sub.add_parser("feasibility", help="transport feasibility oracles")
@@ -215,32 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--num-quanta", "--N", dest="num_quanta", type=int, default=None)
     stats.set_defaults(fn=_cmd_erasure_stats)
 
-    cert = sub.add_parser("certify", help="aliases for the certification experiments")
+    cert = sub.add_parser(
+        "certify", parents=[flags], help="aliases for the certification experiments"
+    )
     cert.add_argument("theorem", choices=["thm1", "thm2", "thm4"])
-    cert.add_argument("--config", default=None)
-    cert.add_argument("--seed", type=int, default=None)
-    cert.add_argument("--beta", type=float, default=None)
-    cert.add_argument("--trials", type=int, default=None)
-    cert.add_argument("--num-quanta", "--N", dest="num_quanta", type=int, default=None)
-    cert.add_argument("--out", default="out")
-    cert.add_argument("--json", action="store_true")
     cert.set_defaults(fn=lambda a: _cmd_run(_alias(a, f"certify-{a.theorem}")))
 
     for fig in ("fig2a", "fig2b", "fig4"):
-        fig_p = sub.add_parser(fig, help=f"alias for `run {fig}`")
-        fig_p.add_argument("--config", default=None)
-        fig_p.add_argument("--seed", type=int, default=None)
-        fig_p.add_argument("--beta", type=float, default=None)
-        fig_p.add_argument("--out", default="out")
-        fig_p.add_argument("--json", action="store_true")
+        fig_p = sub.add_parser(fig, parents=[flags], help=f"alias for `run {fig}`")
         fig_p.set_defaults(fn=lambda a, name=fig: _cmd_run(_alias(a, name)))
 
-    fig2_p = sub.add_parser("fig2", help="run both correction sweeps (fig2a and fig2b)")
-    fig2_p.add_argument("--config", default=None)
-    fig2_p.add_argument("--seed", type=int, default=None)
-    fig2_p.add_argument("--beta", type=float, default=None)
-    fig2_p.add_argument("--out", default="out")
-    fig2_p.add_argument("--json", action="store_true")
+    fig2_p = sub.add_parser(
+        "fig2", parents=[flags], help="run both correction sweeps (fig2a and fig2b)"
+    )
     fig2_p.set_defaults(
         fn=lambda a: max(_cmd_run(_alias(a, "fig2a")), _cmd_run(_alias(a, "fig2b")))
     )
@@ -262,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
-    except ThermopsError as exc:
+    except (ThermopsError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

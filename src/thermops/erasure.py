@@ -28,31 +28,6 @@ from .spectra import DiagonalState, EnergySpectrum, binary_entropy
 GIBBS_IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ErasureSetting:
-    """Parameter bundle for one erasure experiment."""
-
-    eps: float = 0.0
-    gamma: float = 0.0
-    c: float = 0.0
-    lam: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eps < 0.5:
-            raise DomainError(f"eps = {self.eps} outside [0, 1/2)")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise DomainError(f"gamma = {self.gamma} outside [0, 1]")
-        if self.c < 0.0:
-            raise DomainError("fluctuation budget c must be >= 0")
-        if not 0.0 < self.lam <= 1.0:
-            raise DomainError(f"lambda = {self.lam} outside (0, 1]")
-
-    @property
-    def eps_tot(self) -> float:
-        return self.eps * (1.0 - self.gamma) + self.gamma
-
-
 def weight_process(eps: float, beta: float = 1.0) -> tuple[WorkDistribution, float, float]:
     """Fluctuation-optimal weight erasure: shifts (w0, w1) with p = (1-eps, eps)."""
     if not 0.0 < eps < 1.0:

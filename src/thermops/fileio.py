@@ -49,22 +49,44 @@ def load_flat_config(path: str) -> dict[str, Any]:
         return parse_flat_config(fh.read())
 
 
-def state_from_config(cfg: dict[str, Any], default_beta: float = 1.0) -> tuple[DiagonalState, float]:
+_SHAPES = ("a number", "a list of numbers", "a nested list of numbers")
+
+
+def _numeric(cfg: dict[str, Any], key: str, ndim: int) -> np.ndarray:
+    """cfg[key] as a finite float array with `ndim` axes; anything else names the key."""
+    try:
+        value = np.asarray(cfg[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.ndim != ndim or not np.all(np.isfinite(value)):
+        raise DomainError(f"config key {key!r} must be {_SHAPES[ndim]}, got {cfg[key]!r}")
+    return value
+
+
+def state_from_config(
+    cfg: dict[str, Any], default_beta: float | None = 1.0
+) -> tuple[DiagonalState, float]:
     """Build a state from keys levels/probs or delta/num_levels (+ optional beta).
 
     A ladder given by delta/num_levels without probs defaults to the Gibbs
-    state at the config's beta.
+    state at the config's beta.  With `default_beta=None` the config must
+    carry `beta` itself.
     """
-    beta = float(cfg.get("beta", default_beta))
+    if "beta" in cfg:
+        beta = float(_numeric(cfg, "beta", 0))
+    elif default_beta is None:
+        raise DomainError("state config needs a `beta` key when no default beta is given")
+    else:
+        beta = float(default_beta)
     if "levels" in cfg:
-        spectrum = EnergySpectrum(tuple(float(x) for x in cfg["levels"]))
+        spectrum = EnergySpectrum(tuple(_numeric(cfg, "levels", 1).tolist()))
     elif "delta" in cfg and "num_levels" in cfg:
-        num_levels = int(cfg["num_levels"])
-        spectrum = EnergySpectrum.oscillator(num_levels - 1, float(cfg["delta"]))
+        num_levels = int(_numeric(cfg, "num_levels", 0))
+        spectrum = EnergySpectrum.oscillator(num_levels - 1, float(_numeric(cfg, "delta", 0)))
     else:
         raise DomainError("state config needs `levels` or `delta` + `num_levels`")
     if "probs" in cfg:
-        probs = np.asarray([float(x) for x in cfg["probs"]])
+        probs = _numeric(cfg, "probs", 1)
     else:
         from .spectra import gibbs_state
 
@@ -74,7 +96,7 @@ def state_from_config(cfg: dict[str, Any], default_beta: float = 1.0) -> tuple[D
     return DiagonalState(probs=probs, spectrum=spectrum), beta
 
 
-def load_state(path: str, default_beta: float = 1.0) -> tuple[DiagonalState, float]:
+def load_state(path: str, default_beta: float | None = 1.0) -> tuple[DiagonalState, float]:
     return state_from_config(load_flat_config(path), default_beta)
 
 
@@ -140,14 +162,14 @@ def subchannels_from_config(cfg: dict[str, Any]) -> WitSubchannels:
     missing = needed - cfg.keys()
     if missing:
         raise DomainError(f"subchannel config missing keys: {sorted(missing)}")
-    system = EnergySpectrum(tuple(float(x) for x in cfg["sys_levels"]), "sys")
+    system = EnergySpectrum(tuple(_numeric(cfg, "sys_levels", 1).tolist()), "sys")
     return WitSubchannels(
-        r00=np.asarray(cfg["R00"], dtype=float),
-        r01=np.asarray(cfg["R01"], dtype=float),
-        r10=np.asarray(cfg["R10"], dtype=float),
-        r11=np.asarray(cfg["R11"], dtype=float),
-        delta=float(cfg["delta"]),
-        beta=float(cfg["beta"]),
+        r00=_numeric(cfg, "R00", 2),
+        r01=_numeric(cfg, "R01", 2),
+        r10=_numeric(cfg, "R10", 2),
+        r11=_numeric(cfg, "R11", 2),
+        delta=float(_numeric(cfg, "delta", 0)),
+        beta=float(_numeric(cfg, "beta", 0)),
         system=system,
     )
 

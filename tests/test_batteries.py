@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thermops.batteries import (
-    BatteryModel,
     CostFunction,
     WorkDistribution,
     average_work,
@@ -91,22 +90,6 @@ class TestWorkDistribution:
             )
             assert diff < 1e-10
 
-    def test_joint_input_route(self):
-        from thermops.batteries import work_distribution_joint
-        from thermops.spectra import joint_spectrum
-
-        sys = EnergySpectrum((0.0, 0.6), "sys")
-        bat = EnergySpectrum.oscillator(5, 0.7)
-        ch = random_gibbs_stochastic(sys, bat, 1.0, seed=17, num_mixes=40)
-        rng = np.random.default_rng(2)
-        s = DiagonalState(rng.dirichlet(np.ones(2)), sys)
-        b = DiagonalState(rng.dirichlet(np.ones(6)), bat)
-        joint = DiagonalState(np.kron(s.probs, b.probs), joint_spectrum(sys, bat))
-        a = work_distribution(ch, s, b)
-        c = work_distribution_joint(ch, joint)
-        assert_allclose(a.support, c.support)
-        assert_allclose(a.probs, c.probs, atol=1e-15)
-
     def test_csv_round_trip_text(self):
         wd = WorkDistribution(support=np.array([-1.0, 2.0]), probs=np.array([0.75, 0.25]))
         text = wd.to_csv_text()
@@ -192,16 +175,3 @@ class TestVarianceFloor:
     def test_gamma_range(self):
         with pytest.raises(DomainError):
             theorem4_check(WorkDistribution.point_mass(-1.0), 1.5)
-
-
-class TestBatteryModel:
-    def test_wit(self):
-        assert BatteryModel.wit(0.4).spectrum.levels == (0.0, 0.4)
-
-    def test_oscillator(self):
-        model = BatteryModel.oscillator(3, 0.5)
-        assert model.spectrum.levels == (0.0, 0.5, 1.0, 1.5)
-
-    def test_weight_merges_duplicates(self):
-        model = BatteryModel.weight_point_masses([0.5, -1.0, 0.5])
-        assert model.spectrum.levels == (-1.0, 0.5)

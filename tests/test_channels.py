@@ -7,12 +7,12 @@ from thermops.channels import (
     WitSubchannels,
     apply,
     check_eti,
-    compose,
     extract_subchannels,
     identity_channel,
     random_gibbs_stochastic,
     validate,
 )
+from thermops.construction import extend_to_oscillator
 from thermops.errors import DimensionMismatch, IndexOutOfRange, InvalidSubchannels, NonUniformBattery
 from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state
 
@@ -106,22 +106,13 @@ class TestApply:
         assert_allclose(out.probs.sum(), 1.0, atol=1e-14)
 
 
-class TestComposition:
-    def test_composition_of_valid_channels_is_valid(self):
-        sys = small_sys()
-        bat = ladder(5, 0.8)
-        a = random_gibbs_stochastic(sys, bat, 1.0, seed=1, num_mixes=30)
-        b = random_gibbs_stochastic(sys, bat, 1.0, seed=2, num_mixes=30)
-        assert validate(compose(b, a)).ok
-
-
 class TestETI:
     def test_identity_holds_everywhere(self):
         ch = identity_channel(small_sys(), ladder(), 1.0)
         rep = check_eti(ch, k_min=0)
         assert rep.holds
         assert rep.max_violation == 0.0
-        assert rep.main_max_violation == rep.appendix_max_violation == 0.0
+        assert check_eti(ch, k_min=0, convention="appendix").max_violation == 0.0
 
     def test_monotone_in_threshold(self):
         ch = random_gibbs_stochastic(small_sys(), ladder(5, 0.8), 1.0, seed=3, num_mixes=35)
@@ -133,6 +124,78 @@ class TestETI:
         ch = identity_channel(small_sys(), bat, 1.0)
         with pytest.raises(NonUniformBattery):
             check_eti(ch, 0)
+
+
+def _pair_deviations(channel):
+    """{n: D} with D[k', k] = max over s', s of |r(s'k'|sk) - r(s',k'+n|s,k+n)|.
+
+    Entries whose shifted block falls off the battery are NaN.
+    """
+    r4 = channel.blocks()
+    nb = channel.n_battery
+    out = {}
+    for n in range(1 - nb, nb):
+        lo, hi = max(0, -n), nb - max(0, n)
+        dev = np.full((nb, nb), np.nan)
+        dev[lo:hi, lo:hi] = np.abs(
+            r4[:, lo:hi, :, lo:hi] - r4[:, lo + n : hi + n, :, lo + n : hi + n]
+        ).max(axis=(0, 2))
+        out[n] = dev
+    return out
+
+
+def _brute_force_eti(deviations, nb, k_min, convention, row_max, col_max):
+    """Largest deviation over every pair of blocks the window puts together."""
+    kp, k = np.indices((nb, nb))
+    base = (k_min <= k) & (k <= row_max) & (kp <= col_max)
+    worst = 0.0
+    for n, dev in deviations.items():
+        t, tp = k + n, kp + n
+        t_min, tp_min = (k_min, 0) if convention == "main" else (0, k_min)
+        shifted = (t_min <= t) & (t <= row_max) & (tp_min <= tp) & (tp <= col_max)
+        pairs = dev[base & shifted]
+        if pairs.size:
+            worst = max(worst, float(pairs.max()))
+    return worst
+
+
+def _oracle_channels():
+    for seed, n in enumerate((3, 4, 5, 6, 7, 8)):
+        rng = np.random.default_rng(seed)
+        sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, 2 + seed % 2))), "sys")
+        channel = random_gibbs_stochastic(sys, ladder(n, 0.8), 1.0, seed, 8 * n)
+        yield pytest.param(channel, id=f"random-N{n}")
+    for seed, n in enumerate((2, 3, 7, 16, 30)):
+        rng = np.random.default_rng(100 + seed)
+        sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, 2 + seed % 2))), "sys")
+        wit = random_gibbs_stochastic(sys, EnergySpectrum.wit(1.1), 1.0, seed, 30)
+        channel = extend_to_oscillator(WitSubchannels.from_channel(wit), n)
+        yield pytest.param(channel, id=f"ladder-N{n}")
+
+
+class TestETIOracle:
+    """check_eti against a pairwise scan of the windows in its docstring.
+
+    Floating-point subtraction is monotone, so the largest pairwise
+    difference equals max - min of each band exactly.
+    """
+
+    @pytest.mark.parametrize("channel", list(_oracle_channels()))
+    def test_matches_pairwise_scan(self, channel):
+        deviations = _pair_deviations(channel)
+        nb = channel.n_battery
+        r4 = channel.blocks()
+        for top in (nb - 1, nb - 2):  # full band, then interior band
+            for k_min in range(top + 1):
+                for convention in ("main", "appendix"):
+                    rep = check_eti(channel, k_min, convention, row_max=top, col_max=top)
+                    expected = _brute_force_eti(deviations, nb, k_min, convention, top, top)
+                    assert rep.max_violation == expected, (top, k_min, convention)
+                    if rep.worst is None:
+                        assert expected == 0.0
+                        continue
+                    a, b, k_hi, k_lo, d = rep.worst
+                    assert r4[a, k_hi + d, b, k_hi] - r4[a, k_lo + d, b, k_lo] == expected
 
 
 class TestExtractSubchannels:

@@ -96,8 +96,8 @@ class TestExtension:
         assert above.holds and above.max_violation == 0.0
         # The alternative window pairs band entries with vacuum-row entries
         # (shifts with k+n < k_min are allowed), so it reports a genuine
-        # deviation here; both numbers ride in the same report.
-        assert above.appendix_max_violation > 0.1
+        # deviation here.
+        assert check_eti(ch, k_min=1, convention="appendix").max_violation > 0.1
 
 
 def random_wit(dim, seed):

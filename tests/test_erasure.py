@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from thermops.batteries import CostFunction, average_work, general_cost, variance, work_distribution
 from thermops.construction import extend_to_oscillator
 from thermops.erasure import (
-    ErasureSetting,
     erasure_battery_state,
     exp_cost_oscillator,
     exp_cost_oscillator_closed_form,
@@ -211,17 +210,3 @@ class TestTheorem4Consistency:
                 avg = oscillator_average_work(eps, gamma)
                 var = oscillator_variance(eps, gamma)
                 assert var >= gamma * avg**2 - 1e-12
-
-
-class TestErasureSetting:
-    def test_total_error(self):
-        setting = ErasureSetting(eps=0.1, gamma=0.2)
-        assert_allclose(setting.eps_tot, 0.1 * 0.8 + 0.2, rtol=1e-15)
-
-    def test_ranges(self):
-        with pytest.raises(DomainError):
-            ErasureSetting(eps=0.5)
-        with pytest.raises(DomainError):
-            ErasureSetting(gamma=1.2)
-        with pytest.raises(DomainError):
-            ErasureSetting(lam=0.0)

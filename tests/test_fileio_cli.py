@@ -249,3 +249,43 @@ class TestCliErrors:
         message = _error_record(capsys)["message"]
         assert "N = 2777" in message and f"N = {MAX_BATTERY_SIZE}" in message
         assert not out.exists()
+
+    def test_experiment_flag_it_does_not_take(self, tmp_path, capsys):
+        assert main(["fig4", "--trials", "3", "--out", str(tmp_path / "o")]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "trials" in record["message"]
+
+    @pytest.mark.parametrize("command", ["validate", "run", "construct", "feasibility"])
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.cfg")
+        argv = {
+            "validate": ["validate", missing],
+            "run": ["run", "fig4", "--config", missing, "--out", str(tmp_path / "o")],
+            "construct": ["construct", "--subchannels", missing, "--out",
+                          str(tmp_path / "c.txt"), "--report", str(tmp_path / "r.json")],
+            "feasibility": ["feasibility", "check", missing, missing, "--beta", "1.0"],
+        }[command]
+        assert main(argv) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "FileNotFoundError" and "missing.cfg" in record["message"]
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        sub_file = tmp_path / "sub.cfg"
+        sub_file.write_text(
+            'delta = 0.5\nbeta = 1.0\nsys_levels = [0.0, "abc"]\n'
+            + "".join(f"{name} = [[0.5, 0.5], [0.5, 0.5]]\n" for name in ("R00", "R01", "R10", "R11"))
+        )
+        code = main(["construct", "--subchannels", str(sub_file), "--out",
+                     str(tmp_path / "c.txt"), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "sys_levels" in record["message"]
+
+    def test_feasibility_without_beta(self, tmp_path, capsys):
+        p = tmp_path / "p.cfg"
+        q = tmp_path / "q.cfg"
+        p.write_text("levels = [0.0, 0.0]\nprobs = [1.0, 0.0]\n")
+        q.write_text("levels = [0.0, 0.0]\nprobs = [0.5, 0.5]\n")
+        assert main(["feasibility", "check", str(p), str(q)]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "beta" in record["message"]
