@@ -55,6 +55,7 @@ from .construction import (
 from .bounds import (
     SecondLawReport,
     conditional_jarzynski,
+    conditional_jarzynski_band,
     corollary1_correction,
     eta_derivative,
     gaussian_battery_profile,

@@ -18,24 +18,68 @@ from .spectra import DiagonalState
 MERGE_TOL = 1e-12
 
 
+def _group_starts(v: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the group leaders of sorted values under the leader rule.
+
+    A value joins the current group when v - leader <= tol, else it leads a
+    new one.  A step above tol always starts a group, because rounding is
+    monotone and v - leader >= v - v_prev.  Within a run of steps <= tol a
+    new leader is needed only if the run spans more than tol.  Only such
+    runs (chained near-ties, rare in practice) are walked value by value.
+    """
+    cut = np.flatnonzero(~(np.diff(v) <= tol)) + 1
+    starts = np.concatenate(([0], cut))
+    ends = np.append(cut, len(v))
+    wide = np.flatnonzero(~(v[ends - 1] - v[starts] <= tol))
+    if wide.size == 0:
+        return starts
+    extra = []
+    for lo, hi in zip(starts[wide], ends[wide]):
+        lead = lo
+        for j in range(lo + 1, hi):
+            if not v[j] - v[lead] <= tol:
+                extra.append(j)
+                lead = j
+    return np.sort(np.concatenate((starts, extra))).astype(np.intp)
+
+
 def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    probs = probs[order]
-    out_v: list[float] = []
-    out_p: list[float] = []
-    for v, p in zip(values, probs):
-        if out_v and abs(v - out_v[-1]) <= tol:
-            out_p[-1] += p
-        else:
-            out_v.append(float(v))
-            out_p.append(float(p))
-    return np.asarray(out_v), np.asarray(out_p)
+    v = values[order]
+    p = probs[order]
+    if v.size == 0:
+        return v, p
+    starts = _group_starts(v, tol)
+    sizes = np.diff(np.append(starts, len(v)))
+    sums = np.empty(len(starts))
+    # Each group's masses are added left to right: a padded row-wise cumsum
+    # is strictly sequential, where np.sum and np.add.reduceat sum blocks of
+    # eight pairwise.  Rows are padded to the next power of two of their
+    # group's size, one class of widths at a time, so the padding stays below
+    # twice the input.
+    width_class = np.frexp(sizes - 1)[1]  # 2**class is the least power of two >= size
+    for c in np.flatnonzero(np.bincount(width_class)):
+        rows = np.flatnonzero(width_class == c)
+        width = 1 << int(c)
+        cols = np.arange(width)
+        filled = cols < sizes[rows, None]
+        padded = np.zeros((len(rows), width))
+        padded[filled] = p[(starts[rows, None] + cols)[filled]]
+        np.cumsum(padded, axis=1, out=padded)
+        sums[rows] = padded[np.arange(len(rows)), sizes[rows] - 1]
+    return v[starts], sums
 
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Finite support of work values with matching probabilities."""
+    """Finite support of work values with matching probabilities.
+
+    Near-equal values are merged.  The values are sorted (stably) and taken
+    in order: a value at most MERGE_TOL above the first value of the current
+    group, its leader, joins that group; any other value leads a new group.
+    A group keeps its leader's value, and its masses are summed in sorted
+    order, left to right.  Groups of zero mass are then dropped.
+    """
 
     support: np.ndarray
     probs: np.ndarray
@@ -45,6 +89,8 @@ class WorkDistribution:
         p = np.asarray(self.probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise DimensionMismatch("support and probs must be matching vectors")
+        if v.size == 0:
+            raise DomainError("a work distribution needs at least one value")
         if np.min(p) < -1e-15:
             raise DomainError(f"negative work probability {np.min(p)}")
         v, p = _merge_support(v, np.clip(p, 0.0, None), MERGE_TOL)

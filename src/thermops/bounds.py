@@ -31,42 +31,70 @@ from .spectra import (
 )
 
 THEOREM_TOL = 1e-10
+# Battery levels per chunk of conditional_jarzynski_band: the working copy
+# holds BAND_COLUMNS columns of the matrix.
+BAND_COLUMNS = 64
+
+
+def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
+    """<e^{beta(w - f_s)}>_k for every battery level k in `ks`, in that order.
+
+    Each level's value is a log-sum-exp over its column's terms
+    log r(s'k'|sk) + beta (eps_k' - eps_k) - beta E_s, with the exact
+    cancellation p(s) e^{-beta f_s} = e^{-beta E_s}, which also covers
+    zero-probability levels.  The terms of a column are gathered
+    contiguously in (s', k', s) order and summed along that row, as
+    spectra.logsumexp sums them.  Columns are taken BAND_COLUMNS at a time,
+    so the working copy stays a small slice of the matrix.
+    """
+    ks = np.asarray(ks, dtype=np.intp).reshape(-1)
+    if ks.size and not (0 <= ks.min() and ks.max() < channel.n_battery):
+        bad = ks[(ks < 0) | (ks >= channel.n_battery)][0]
+        raise IndexOutOfRange(f"battery level {bad} outside 0..{channel.n_battery - 1}")
+    d_out, nb, d_in = channel.d_out, channel.n_battery, channel.d_in
+    by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
+    eps = channel.battery.array
+    beta = channel.beta
+    # The energy terms as rows over (k', s), so each add runs along a whole
+    # row rather than broadcasting over the d_in-long last axis.
+    sys_term = np.tile(beta * channel.sys_in.array, nb)
+    out = np.empty(len(ks))
+    for lo in range(0, len(ks), BAND_COLUMNS):
+        chunk = ks[lo : lo + BAND_COLUMNS]
+        r = by_column[chunk]  # a contiguous copy, one column per row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
+            blocks = terms.reshape(len(chunk), d_out, nb * d_in)
+            blocks += np.repeat(beta * (eps[None, :] - eps[chunk, None]), d_in, axis=1)[:, None, :]
+            blocks -= sys_term
+            rows = terms.reshape(len(chunk), -1)
+            top = rows.max(axis=1)
+            finite = np.isfinite(top)
+            rows -= np.where(finite, top, 0.0)[:, None]
+            np.exp(rows, out=rows)
+            log_sum = np.where(finite, top + np.log(rows.sum(axis=1)), top)
+        out[lo : lo + len(chunk)] = np.exp(log_sum)
+    return out
 
 
 def conditional_jarzynski(channel: ThermalChannel, sys: DiagonalState, k: int) -> float:
     """<e^{beta(w - f_s)}>_k, the exponential average conditioned on battery level k.
 
-    Computed in log-sum-exp form with the exact cancellation
-    p(s) e^{-beta f_s} = e^{-beta E_s}, which also covers zero-probability
-    levels (the state argument is validated but cannot change the value).
+    The single-level call of conditional_jarzynski_band; the state argument
+    is validated but cannot change the value.
     """
-    if not 0 <= k < channel.n_battery:
-        raise IndexOutOfRange(f"battery level {k} outside 0..{channel.n_battery - 1}")
     if len(sys.spectrum) != channel.d_in:
         raise IndexOutOfRange("system state does not match the channel input")
-    r4 = channel.blocks()
-    col = r4[:, :, :, k]  # [s', k', s]
-    eps = channel.battery.array
-    with np.errstate(divide="ignore"):
-        logr = np.log(col, out=np.full_like(col, -np.inf), where=col > 0)
-    beta = channel.beta
-    terms = (
-        logr
-        + beta * (eps[None, :, None] - eps[k])
-        - beta * channel.sys_in.array[None, None, :]
-    )
-    return float(np.exp(logsumexp(terms)))
+    return float(conditional_jarzynski_band(channel, [k])[0])
 
 
 def jarzynski_average(channel: ThermalChannel, sys: DiagonalState, bat: DiagonalState) -> float:
-    """Unconditional <e^{beta(w - f_s)}> = sum_k p_W(k) <...>_k."""
-    return float(
-        sum(
-            p * conditional_jarzynski(channel, sys, k)
-            for k, p in enumerate(bat.probs)
-            if p > 0
-        )
-    )
+    """Unconditional <e^{beta(w - f_s)}> = sum_k p_W(k) <...>_k, summed level by level."""
+    if len(sys.spectrum) != channel.d_in:
+        raise IndexOutOfRange("system state does not match the channel input")
+    ks = np.flatnonzero(bat.probs > 0)
+    terms = bat.probs[ks] * conditional_jarzynski_band(channel, ks)
+    return float(np.cumsum(terms)[-1])  # sequential, like a running sum
 
 
 def _require_uniform(channel: ThermalChannel) -> float:
@@ -102,18 +130,20 @@ def theorem1_certify(
         )
     delta = _require_uniform(channel)
     _require_interior_eti(channel, k_min)
+    if len(sys.spectrum) != channel.d_in:
+        raise IndexOutOfRange("system state does not match the channel input")
     z_out = partition_function(channel.sys_out, channel.beta)
-    worst_slack = np.inf
-    worst_k = None
-    rows = []
-    for k in band:
-        lhs = conditional_jarzynski(channel, sys, k)
-        delta_k = (k - k_min + 1) * delta
-        rhs = z_out * (1.0 + np.exp(-channel.beta * delta_k))
-        slack = rhs - lhs
-        rows.append((k, lhs, rhs, slack))
-        if slack < worst_slack:
-            worst_slack, worst_k = slack, k
+    ks = np.arange(band.start, band.stop)
+    lhs = conditional_jarzynski_band(channel, ks)
+    delta_k = (ks - k_min + 1) * delta
+    rhs = z_out * (1.0 + np.exp(-channel.beta * delta_k))
+    slack = rhs - lhs
+    rows = list(zip(ks.tolist(), lhs.tolist(), rhs.tolist(), slack.tolist()))
+    worst_slack, worst_k = np.inf, None
+    below = np.flatnonzero(slack < np.inf)
+    if below.size:
+        at = below[np.argmin(slack[below])]
+        worst_slack, worst_k = slack[at], int(ks[at])
     return CheckReport(
         name="jarzynski-family-bound",
         passed=worst_slack >= -tol,

@@ -27,7 +27,6 @@ from .spectra import (
     EnergySpectrum,
     gibbs_weights,
     joint_spectrum,
-    logsumexp,
 )
 
 STOCHASTIC_TOL = 1e-12
@@ -119,13 +118,19 @@ def validate(
 
     lw_in = -channel.beta * channel.joint_in_spectrum().array
     lw_out = -channel.beta * channel.joint_out_spectrum().array
-    row_res = np.empty(m.shape[0])
-    with np.errstate(divide="ignore"):
-        logm = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
-    for i in range(m.shape[0]):
-        # Gibbs condition row i: sum_j r_ij e^{-beta E_j} = e^{-beta E_i}.
-        s = logsumexp(logm[i] + lw_in)
-        row_res[i] = abs(np.expm1(s - lw_out[i])) if np.isfinite(s) else 1.0
+    # Gibbs condition row i: sum_j r_ij e^{-beta E_j} = e^{-beta E_i}, as a
+    # log-sum-exp of every row at once, worked in place on the log matrix.
+    # Each row is summed along the contiguous last axis, the same pairwise
+    # sum as spectra.logsumexp on that row.  An all-zero row has residual 1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
+        a += lw_in
+        top = a.max(axis=1)
+        finite = np.isfinite(top)
+        a -= np.where(finite, top, 0.0)[:, None]
+        np.exp(a, out=a)
+        s = top + np.log(a.sum(axis=1))
+        row_res = np.where(finite, np.abs(np.expm1(s - lw_out)), 1.0)
 
     ok = bool(
         float(col_res.max()) <= stoch_tol

@@ -85,7 +85,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     p, beta_p = load_state(args.state_p, args.beta)
     q, beta_q = load_state(args.state_q, args.beta)
-    beta = args.beta if args.beta is not None else beta_p
+    # load_state returns --beta for a file without its own `beta`, so any
+    # two different values here are a real conflict.
+    betas = {beta_p, beta_q} | ({args.beta} if args.beta is not None else set())
+    if len(betas) > 1:
+        raise DomainError(
+            f"conflicting beta values {sorted(betas)} from the state files and --beta; "
+            "both states and the check need one beta"
+        )
+    beta = beta_p
     curve = thermo_majorizes(p, q, beta)
     lp = lp_feasible_transport(p, q, beta)
     payload = {

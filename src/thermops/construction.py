@@ -85,16 +85,18 @@ def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> ThermalChannel
     c_blocks = [a_blocks[i] @ sub.r11 for i in range(n)]     # r00 r01^i r11
     t_blocks = [powers[j] @ sub.r11 for j in range(nb)]      # r01^j r11
 
+    # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
+    # (k', k) and takes a stack of d x d blocks, one per pair.
     r4 = np.zeros((d, nb, d, nb))
-    for i in range(n):
-        r4[:, i, :, 0] = a_blocks[i]
+    levels = np.arange(nb)
+    r4[:, levels[:n], :, 0] = np.array(a_blocks)
     r4[:, n, :, 0] = powers[n]
-    for k in range(1, n):
-        r4[:, k - 1, :, k] = sub.r10
-        for i in range(n - k):
-            r4[:, k + i, :, k] = c_blocks[i]
-        r4[:, n, :, k] = t_blocks[n - k]
-    r4[:, n - 1, :, n] = sub.r10
+    r4[:, levels[:n], :, levels[1:]] = sub.r10
+    for i in range(n - 1):
+        ks = levels[1 : n - i]
+        r4[:, ks + i, :, ks] = c_blocks[i]
+    ks = levels[1:n]
+    r4[:, n, :, ks] = np.array(t_blocks)[n - ks]
     r4[:, n, :, n] = sub.r11
 
     matrix = r4.reshape(d * nb, d * nb)
@@ -227,16 +229,13 @@ def verify_extension(channel: ThermalChannel, sub: WitSubchannels | None = None)
     eti = check_eti(channel, k_min=1, row_max=n - 1, col_max=n - 1)
 
     ref = extract_subchannels(channel, 1, 0)
-    blocks_ok = True
-    worst = 0.0
-    first_bad = None
-    for k in range(1, n + 1):
-        block = extract_subchannels(channel, k, k - 1)
-        if not np.array_equal(block, ref):
-            blocks_ok = False
-            worst = max(worst, float(np.max(np.abs(block - ref))))
-            if first_bad is None:
-                first_bad = k
+    ks = np.arange(1, n + 1)
+    drops = channel.blocks()[:, ks - 1, :, ks]  # the k -> k-1 block of every level
+    bad = np.flatnonzero(~(drops == ref).all(axis=(1, 2)))
+    deviation = np.abs(drops[bad] - ref).max(axis=(1, 2))
+    blocks_ok = bad.size == 0
+    worst = float(np.fmax.reduce(deviation, initial=0.0))  # fmax skips NaN, as max() did
+    first_bad = int(ks[bad[0]]) if bad.size else None
     tail = truncation_tail(sub, n) if sub is not None else None
     return ExtensionReport(
         validation=report,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.batteries import (
+    MERGE_TOL,
     CostFunction,
     WorkDistribution,
     average_work,
@@ -12,6 +13,7 @@ from thermops.batteries import (
     theorem4_check,
     variance,
     work_distribution,
+    _merge_support,
 )
 from thermops.channels import identity_channel, random_gibbs_stochastic
 from thermops.construction import extend_to_oscillator
@@ -95,6 +97,82 @@ class TestWorkDistribution:
         text = wd.to_csv_text()
         assert text.splitlines()[0] == "w,p"
         assert len(text.splitlines()) == 3
+
+
+def leader_rule_merge(values, probs, tol):
+    """Reference merge, one value at a time: a sorted value joins the current
+    group if it is within tol of the group's first value, and the group's
+    masses are added in sorted order."""
+    order = np.argsort(values, kind="stable")
+    out_v, out_p = [], []
+    for v, p in zip(values[order], probs[order]):
+        if out_v and abs(v - out_v[-1]) <= tol:
+            out_p[-1] += p
+        else:
+            out_v.append(float(v))
+            out_p.append(float(p))
+    return np.asarray(out_v), np.asarray(out_p)
+
+
+def _merge_cases():
+    tol = MERGE_TOL
+    rng = np.random.default_rng(23)
+    cases = {
+        "single value": ([0.3], [1.0]),
+        # Every step is within tol but the run spans 30 tol: the groups
+        # split greedily from each leader.
+        "chained near-ties": (np.arange(70) * 0.43 * tol, rng.uniform(size=70)),
+        "steps of exactly tol": (np.arange(25) * tol - 3.0, rng.uniform(size=25)),
+        # Groups of 9, 17 and 64 members, shuffled: a pairwise or blocked sum
+        # of eight changes the bits of these sums.
+        "large groups": (
+            np.repeat([-1.0, 0.0, 2.5], [9, 17, 64]) + rng.uniform(0, 0.9 * tol, 90),
+            rng.uniform(size=90),
+        ),
+        "zero masses": (
+            rng.integers(0, 5, 60) * 0.5 + rng.choice([0.0, 0.6 * tol], 60),
+            rng.uniform(size=60) * (rng.uniform(size=60) < 0.5),
+        ),
+        "ladder works": (
+            (0.7 * np.arange(41)[:, None] - 0.7 * np.arange(41)[None, :]).ravel(),
+            rng.dirichlet(np.ones(41 * 41)),
+        ),
+    }
+    for seed in range(12):
+        r = np.random.default_rng([seed, 5])
+        m = int(r.integers(2, 300))
+        v = r.integers(0, 15, m) * 1e-11 + r.choice([0.0, 3e-13, 8e-13, 1e-12, 1.3e-12], m) * r.integers(-2, 3, m)
+        if seed % 3 == 0:
+            v = np.cumsum(r.uniform(0.0, 1.2 * tol, m))
+        cases[f"fuzz {seed}"] = (v, r.uniform(size=m) * (r.uniform(size=m) < 0.8))
+    return {name: (np.asarray(v, dtype=float), np.asarray(p, dtype=float)) for name, (v, p) in cases.items()}
+
+
+class TestMergeSupport:
+    @pytest.mark.parametrize("name, case", list(_merge_cases().items()))
+    def test_matches_leader_rule_loop_bitwise(self, name, case):
+        values, probs = case
+        got_v, got_p = _merge_support(values, probs, MERGE_TOL)
+        want_v, want_p = leader_rule_merge(values, probs, MERGE_TOL)
+        assert_array_equal(got_v, want_v)
+        assert_array_equal(got_p, want_p)
+
+    def test_chained_near_ties_split_greedily(self):
+        values = np.arange(5) * 0.6 * MERGE_TOL
+        support, probs = _merge_support(values, np.full(5, 0.2), MERGE_TOL)
+        assert_array_equal(support, values[[0, 2, 4]])
+        assert_array_equal(probs, [0.4, 0.4, 0.2])
+
+    def test_distribution_keeps_groups_with_mass(self):
+        values, probs = _merge_cases()["zero masses"]
+        wd = WorkDistribution(values, probs / probs.sum())
+        want_v, want_p = leader_rule_merge(values, probs / probs.sum(), MERGE_TOL)
+        assert_array_equal(wd.support, want_v[want_p > 0])
+        assert_array_equal(wd.probs, want_p[want_p > 0])
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(DomainError, match="at least one value"):
+            WorkDistribution(support=np.array([]), probs=np.array([]))
 
 
 class TestMoments:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.bounds import (
+    BAND_COLUMNS,
     battery_mean_energy,
     conditional_jarzynski,
+    conditional_jarzynski_band,
     corollary1_correction,
     eta_derivative,
     gaussian_battery_profile,
@@ -12,9 +14,9 @@ from thermops.bounds import (
     theorem1_certify,
     theorem2_bound,
 )
-from thermops.channels import identity_channel
+from thermops.channels import identity_channel, random_gibbs_stochastic
 from thermops.construction import extend_to_oscillator
-from thermops.errors import DomainError, ETIViolated
+from thermops.errors import DomainError, ETIViolated, IndexOutOfRange
 from thermops.experiments import (
     brute_force_conditional_average,
     random_wit_subchannels,
@@ -25,6 +27,7 @@ from thermops.spectra import (
     EnergySpectrum,
     fine_grained_free_energy,
     gibbs_state,
+    logsumexp,
     partition_function,
 )
 
@@ -82,6 +85,71 @@ class TestConditionalJarzynski:
             a = conditional_jarzynski(ch, state, k)
             b = brute_force_conditional_average(ch, k)
             assert abs(a - b) < 1e-12 * max(1.0, abs(b))
+
+
+def per_column_log_sum_exp(channel, k):
+    """Reference conditional average: one logsumexp over column k's terms in
+    (s', k', s) order."""
+    col = channel.blocks()[:, :, :, k]
+    eps = channel.battery.array
+    with np.errstate(divide="ignore"):
+        logr = np.log(col, out=np.full_like(col, -np.inf), where=col > 0)
+    beta = channel.beta
+    terms = (
+        logr
+        + beta * (eps[None, :, None] - eps[k])
+        - beta * channel.sys_in.array[None, None, :]
+    )
+    return float(np.exp(logsumexp(terms)))
+
+
+def _band_channels():
+    for trial in (0, 3):  # a three-level and a two-level system
+        sub = random_wit_subchannels(3, trial)
+        yield f"ladder d={sub.dim}", extend_to_oscillator(sub, 2 * BAND_COLUMNS + 20)
+    # A sparse channel: most columns hold a few nonzero entries.
+    sysp = EnergySpectrum((0.0, 0.4, 1.1), "sys")
+    yield "sparse", random_gibbs_stochastic(sysp, EnergySpectrum.oscillator(30, 0.7), 0.9, seed=8, num_mixes=20)
+
+
+class TestConditionalBand:
+    @pytest.mark.parametrize("name, channel", list(_band_channels()))
+    def test_matches_per_level_evaluations_bitwise(self, name, channel):
+        ks = np.arange(channel.n_battery)
+        band = conditional_jarzynski_band(channel, ks)
+        state = gibbs_state(channel.sys_in, channel.beta)
+        assert_array_equal(band, [per_column_log_sum_exp(channel, k) for k in ks])
+        assert_array_equal(band, [conditional_jarzynski(channel, state, k) for k in ks])
+
+    @pytest.mark.parametrize("name, channel", list(_band_channels()))
+    def test_matches_brute_force_oracle(self, name, channel):
+        ks = np.arange(0, channel.n_battery, 9)
+        band = conditional_jarzynski_band(channel, ks)
+        oracle = [brute_force_conditional_average(channel, k) for k in ks]
+        assert_allclose(band, oracle, rtol=1e-12)
+
+    def test_levels_in_any_order(self):
+        _, channel = next(_band_channels())
+        ks = np.array([5, 0, 5, channel.n_battery - 1, 2])
+        assert_array_equal(
+            conditional_jarzynski_band(channel, ks),
+            [per_column_log_sum_exp(channel, k) for k in ks],
+        )
+        assert conditional_jarzynski_band(channel, []).shape == (0,)
+
+    def test_level_out_of_range(self):
+        _, channel = next(_band_channels())
+        with pytest.raises(IndexOutOfRange):
+            conditional_jarzynski_band(channel, [0, channel.n_battery])
+
+    def test_jarzynski_average_sums_level_by_level(self):
+        _, channel = next(_band_channels())
+        rng = np.random.default_rng(4)
+        p = rng.dirichlet(np.ones(channel.n_battery)) * (rng.uniform(size=channel.n_battery) < 0.5)
+        bat = DiagonalState(p / p.sum(), channel.battery)
+        state = gibbs_state(channel.sys_in, channel.beta)
+        want = sum(q * per_column_log_sum_exp(channel, k) for k, q in enumerate(bat.probs) if q > 0)
+        assert jarzynski_average(channel, state, bat) == want
 
 
 class TestTheorem1:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.channels import (
     ThermalChannel,
@@ -14,7 +14,8 @@ from thermops.channels import (
 )
 from thermops.construction import extend_to_oscillator
 from thermops.errors import DimensionMismatch, IndexOutOfRange, InvalidSubchannels, NonUniformBattery
-from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state
+from thermops.experiments import random_wit_subchannels
+from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state, logsumexp
 
 LN2 = np.log(2.0)
 
@@ -49,6 +50,45 @@ class TestValidate:
             identity_channel(small_sys(), ladder(), 1.0).__class__(
                 np.eye(3), small_sys(), small_sys(), ladder(), 1.0
             )
+
+
+def per_row_gibbs_residuals(channel):
+    """Reference Gibbs residuals, one logsumexp per output row."""
+    m = channel.matrix
+    lw_in = -channel.beta * channel.joint_in_spectrum().array
+    lw_out = -channel.beta * channel.joint_out_spectrum().array
+    with np.errstate(divide="ignore"):
+        logm = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
+    res = np.empty(m.shape[0])
+    for i in range(m.shape[0]):
+        s = logsumexp(logm[i] + lw_in)
+        res[i] = abs(np.expm1(s - lw_out[i])) if np.isfinite(s) else 1.0
+    return res
+
+
+def _residual_channels():
+    rng = np.random.default_rng(31)
+    sys_in = EnergySpectrum((0.0, 0.3, 1.2), "in")
+    sys_out = EnergySpectrum((0.0, 0.8), "out")
+    m = rng.uniform(size=(2 * 7, 3 * 7)) * (rng.uniform(size=(14, 21)) < 0.6)
+    m[[3, 9]] = 0.0  # two output levels that nothing reaches
+    yield "sparse with zero rows", ThermalChannel(m, sys_in, sys_out, ladder(), 0.8)
+    yield "random mixes", random_gibbs_stochastic(small_sys(), ladder(9), 1.3, seed=4, num_mixes=60)
+    for trial in range(4):
+        sub = random_wit_subchannels(2, trial)
+        yield f"ladder d={sub.dim}", extend_to_oscillator(sub, 40)
+
+
+class TestValidateResiduals:
+    @pytest.mark.parametrize("name, channel", list(_residual_channels()))
+    def test_row_residuals_match_per_row_logsumexp(self, name, channel):
+        assert_array_equal(validate(channel).row_residuals, per_row_gibbs_residuals(channel))
+
+    def test_zero_row_has_residual_one(self):
+        _, channel = next(_residual_channels())
+        res = validate(channel).row_residuals
+        assert res[3] == 1.0 and res[9] == 1.0
+        assert np.all(res[[0, 1, 2, 4]] != 1.0)
 
 
 class TestChannelStorage:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.batteries import average_work, work_distribution
 from thermops.channels import (
@@ -188,6 +188,41 @@ class TestVerifyExtension:
         assert not report.blocks_ok
         assert report.block_first_mismatch == 5
         assert_allclose(report.block_max_deviation, 1e-3, rtol=1e-9)
+
+
+def block_by_block_extension(sub, n):
+    """Reference assembly of the completed ladder, one d x d block at a time."""
+    d, nb = sub.dim, n + 1
+    powers = [np.eye(d)]
+    for _ in range(n):
+        powers.append(powers[-1] @ sub.r01)
+    a_blocks = [sub.r00 @ powers[i] for i in range(n)]
+    c_blocks = [a_blocks[i] @ sub.r11 for i in range(n)]
+    t_blocks = [powers[j] @ sub.r11 for j in range(nb)]
+    r4 = np.zeros((d, nb, d, nb))
+    for i in range(n):
+        r4[:, i, :, 0] = a_blocks[i]
+    r4[:, n, :, 0] = powers[n]
+    for k in range(1, n):
+        r4[:, k - 1, :, k] = sub.r10
+        for i in range(n - k):
+            r4[:, k + i, :, k] = c_blocks[i]
+        r4[:, n, :, k] = t_blocks[n - k]
+    r4[:, n - 1, :, n] = sub.r10
+    r4[:, n, :, n] = sub.r11
+    return r4.reshape(d * nb, d * nb)
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_matches_block_by_block_assembly(self, dim, n):
+        sub = random_wit(dim, 12)
+        assert_array_equal(extend_to_oscillator(sub, n).matrix, block_by_block_extension(sub, n))
+
+    def test_erasure_blocks_with_zeros(self):
+        sub = oscillator_erasure_subchannels(0.0)
+        assert_array_equal(extend_to_oscillator(sub, 7).matrix, block_by_block_extension(sub, 7))
 
 
 class TestClosedFormAverageWork:

@@ -289,3 +289,28 @@ class TestCliErrors:
         assert main(["feasibility", "check", str(p), str(q)]) == 2
         record = _error_record(capsys)
         assert record["error"] == "DomainError" and "beta" in record["message"]
+
+    @pytest.mark.parametrize(
+        "beta_p, beta_q, flag",
+        [(0.1, 5.0, None), (5.0, 0.1, None), (1.0, 1.0, 2.0), (None, 5.0, 1.0), (5.0, None, 1.0)],
+    )
+    def test_feasibility_with_conflicting_beta(self, tmp_path, capsys, beta_p, beta_q, flag):
+        files = []
+        for name, beta in (("p.cfg", beta_p), ("q.cfg", beta_q)):
+            path = tmp_path / name
+            path.write_text("delta = 0.5\nnum_levels = 3\n" + ("" if beta is None else f"beta = {beta}\n"))
+            files.append(str(path))
+        argv = ["feasibility", "check", *files] + ([] if flag is None else ["--beta", str(flag)])
+        assert main(argv) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "beta" in record["message"]
+
+    @pytest.mark.parametrize("flag", [None, 1.0])
+    def test_feasibility_with_agreeing_beta(self, tmp_path, capsys, flag):
+        p = tmp_path / "p.cfg"
+        q = tmp_path / "q.cfg"
+        p.write_text("levels = [0.0, 0.5]\nprobs = [0.7, 0.3]\nbeta = 1.0\n")
+        q.write_text("levels = [0.0, 0.5]\nprobs = [0.6, 0.4]\nbeta = 1.0\n")
+        argv = ["feasibility", "check", str(p), str(q)] + ([] if flag is None else ["--beta", str(flag)])
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["beta"] == 1.0
