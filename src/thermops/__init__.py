@@ -14,6 +14,7 @@ from .spectra import (
 )
 from .channels import (
     ETIReport,
+    LadderChannel,
     ThermalChannel,
     ValidationReport,
     WitSubchannels,

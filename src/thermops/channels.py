@@ -262,6 +262,11 @@ def check_eti(
 
     `row_max`/`col_max` restrict the audit to an interior band (used to
     exclude the completed top row).
+
+    A LadderChannel's "main" window above the vacuum and below the top row
+    (k_min >= 1, row_max and col_max <= N-1) is translation-invariant by
+    construction and is not scanned; every other window and every other
+    channel gets the dense scan.
     """
     if channel.battery.uniform_spacing() is None:
         raise NonUniformBattery("ETI is defined for uniformly spaced batteries")
@@ -273,7 +278,15 @@ def check_eti(
     if not (0 <= k_min <= row_max < nb and 0 <= col_max < nb):
         raise IndexOutOfRange("ETI band outside the battery range")
 
-    violation, where = _band_violation(channel.blocks(), k_min, row_max, col_max, convention)
+    if (
+        isinstance(channel, LadderChannel)
+        and convention == "main"
+        and k_min >= 1
+        and max(row_max, col_max) <= nb - 2
+    ):
+        violation, where = 0.0, None
+    else:
+        violation, where = _band_violation(channel.blocks(), k_min, row_max, col_max, convention)
     return ETIReport(
         holds=violation <= tol,
         convention=convention,
@@ -420,3 +433,75 @@ class WitSubchannels:
             EnergySpectrum.wit(self.delta),
             self.beta,
         )
+
+
+def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
+    """Battery spectrum of the (num_quanta+1)-level ladder extension."""
+    if delta > 0:
+        return EnergySpectrum.oscillator(num_quanta, delta)
+    # Degenerate gap (delta = 0) arises only for trivial transitions.
+    return EnergySpectrum(levels=(0.0,) * (num_quanta + 1), label="oscillator")
+
+
+@dataclass(frozen=True, init=False)
+class LadderChannel(ThermalChannel):
+    """The completed (N+1)-level ladder extension of a wit operation.
+
+    Built only from the wit blocks `sub` and N = `num_quanta` (see
+    construction.py for the block layout).  Every interior band is filled
+    from one shared block array, so translation invariance above the vacuum
+    and below the top row holds exactly, and `check_eti` does not scan that
+    window.  The matrix is read-only, and a foreign matrix cannot be
+    attached: positional construction from a matrix and
+    `dataclasses.replace` raise TypeError.
+    """
+
+    sub: WitSubchannels
+    num_quanta: int
+
+    def __init__(self, sub: WitSubchannels, num_quanta: int):
+        if not isinstance(sub, WitSubchannels):
+            raise TypeError("a LadderChannel is built from WitSubchannels and num_quanta")
+        d, n = sub.dim, num_quanta
+        nb = n + 1
+
+        # Shared block arrays keep repeated blocks bit-identical across columns.
+        powers = [np.eye(d)]
+        for _ in range(n):
+            powers.append(powers[-1] @ sub.r01)
+        a_blocks = [sub.r00 @ powers[i] for i in range(n)]       # r00 r01^i
+        c_blocks = [a_blocks[i] @ sub.r11 for i in range(n)]     # r00 r01^i r11
+        t_blocks = [powers[j] @ sub.r11 for j in range(nb)]      # r01^j r11
+
+        # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
+        # (k', k) and takes a stack of d x d blocks, one per pair.
+        r4 = np.zeros((d, nb, d, nb))
+        levels = np.arange(nb)
+        r4[:, levels[:n], :, 0] = np.array(a_blocks)
+        r4[:, n, :, 0] = powers[n]
+        r4[:, levels[:n], :, levels[1:]] = sub.r10
+        for i in range(n - 1):
+            ks = levels[1 : n - i]
+            r4[:, ks + i, :, ks] = c_blocks[i]
+        ks = levels[1:n]
+        r4[:, n, :, ks] = np.array(t_blocks)[n - ks]
+        r4[:, n, :, n] = sub.r11
+
+        matrix = r4.reshape(d * nb, d * nb)
+        matrix.setflags(write=False)
+        fields = {
+            "matrix": matrix,
+            "sys_in": sub.system,
+            "sys_out": sub.system,
+            "battery": ladder_spectrum(n, sub.delta),
+            "beta": sub.beta,
+            "sub": sub,
+            "num_quanta": n,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the matrix from the blocks.
+        return LadderChannel, (self.sub, self.num_quanta)

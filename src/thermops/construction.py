@@ -10,7 +10,11 @@ Any valid two-level-battery operation, given by subchannel blocks
 The top-level completion makes the finite map exactly trace- and
 Gibbs-preserving; translation symmetry then holds on the interior band
 above the vacuum (threshold level 1) but necessarily breaks at the top
-row, the mirror image of the vacuum.
+row, the mirror image of the vacuum.  `extend_to_oscillator` returns a
+`LadderChannel`, which is built only from the four blocks and N and fills
+each interior band from one shared block array, so that interior
+invariance holds by construction and `check_eti` does not re-scan it; the
+dense scan serves every other window and every other channel.
 
 Work on the ladder is (k' - k) delta with k' - k in {-1, 0, ..., N}, so for
 a product input x (x) b the work distribution is N + 2 masses.  With
@@ -36,6 +40,7 @@ import numpy as np
 from .batteries import WorkDistribution
 from .channels import (
     ETIReport,
+    LadderChannel,
     ThermalChannel,
     ValidationReport,
     WitSubchannels,
@@ -45,7 +50,7 @@ from .channels import (
 )
 from .errors import DimensionMismatch, DomainError, Infeasible, NonConvergentSeries
 from .feasibility import formation_feasible_at, formation_gap_from_equilibrium
-from .spectra import DiagonalState, EnergySpectrum
+from .spectra import DiagonalState
 
 TAIL_TOL = 1e-12
 # Largest automatic battery size `thermops construct` writes as a dense
@@ -55,14 +60,6 @@ MAX_BATTERY_SIZE = 2000
 SERIES_MARGIN = 1e-10
 
 
-def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
-    """Battery spectrum of the (num_quanta+1)-level ladder extension."""
-    if delta > 0:
-        return EnergySpectrum.oscillator(num_quanta, delta)
-    # Degenerate gap (delta = 0) arises only for trivial transitions.
-    return EnergySpectrum(levels=(0.0,) * (num_quanta + 1), label="oscillator")
-
-
 def _require_ladder(num_quanta: int) -> None:
     if num_quanta < 2:
         raise DomainError(
@@ -70,38 +67,11 @@ def _require_ladder(num_quanta: int) -> None:
         )
 
 
-def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> ThermalChannel:
+def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> LadderChannel:
     """Build the completed (N+1)-level extension of a wit operation."""
     _require_ladder(num_quanta)
     sub.check()
-    d, n = sub.dim, num_quanta
-    nb = n + 1
-
-    # Shared block arrays keep repeated blocks bit-identical across columns.
-    powers = [np.eye(d)]
-    for _ in range(n):
-        powers.append(powers[-1] @ sub.r01)
-    a_blocks = [sub.r00 @ powers[i] for i in range(n)]       # r00 r01^i
-    c_blocks = [a_blocks[i] @ sub.r11 for i in range(n)]     # r00 r01^i r11
-    t_blocks = [powers[j] @ sub.r11 for j in range(nb)]      # r01^j r11
-
-    # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
-    # (k', k) and takes a stack of d x d blocks, one per pair.
-    r4 = np.zeros((d, nb, d, nb))
-    levels = np.arange(nb)
-    r4[:, levels[:n], :, 0] = np.array(a_blocks)
-    r4[:, n, :, 0] = powers[n]
-    r4[:, levels[:n], :, levels[1:]] = sub.r10
-    for i in range(n - 1):
-        ks = levels[1 : n - i]
-        r4[:, ks + i, :, ks] = c_blocks[i]
-    ks = levels[1:n]
-    r4[:, n, :, ks] = np.array(t_blocks)[n - ks]
-    r4[:, n, :, n] = sub.r11
-
-    matrix = r4.reshape(d * nb, d * nb)
-    matrix.setflags(write=False)
-    return ThermalChannel(matrix, sub.system, sub.system, ladder_spectrum(n, sub.delta), sub.beta)
+    return LadderChannel(sub, num_quanta)
 
 
 def _power_orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -202,6 +172,14 @@ def closed_form_average_work(sub: WitSubchannels, x: DiagonalState) -> float:
     return float(sub.delta * (series.sum() - 1.0))
 
 
+def _same_operation(a: WitSubchannels, b: WitSubchannels) -> bool:
+    """Equal blocks, gap, beta and system levels (== on the dataclass is ambiguous for arrays)."""
+    return a is b or (
+        (a.delta, a.beta, a.system) == (b.delta, b.beta, b.system)
+        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("r00", "r01", "r10", "r11"))
+    )
+
+
 @dataclass(frozen=True)
 class ExtensionReport:
     """Bundled audits of an extended channel."""
@@ -223,7 +201,17 @@ def verify_extension(channel: ThermalChannel, sub: WitSubchannels | None = None)
 
     The interior band excludes the top battery row, where the completed
     map mirrors the vacuum and translation symmetry necessarily breaks.
+    The truncation tail comes from `sub`; a LadderChannel supplies its own
+    blocks, and a `sub` passed with it must equal them.
     """
+    if isinstance(channel, LadderChannel):
+        if sub is not None and not _same_operation(sub, channel.sub):
+            raise DomainError("sub differs from the wit operation the ladder channel was built from")
+        sub = channel.sub
+    elif sub is not None and sub.dim != channel.d_in:
+        raise DimensionMismatch(
+            f"subchannels of dimension {sub.dim} for a channel with d_in = {channel.d_in}"
+        )
     n = channel.n_battery - 1
     report = validate(channel)
     eti = check_eti(channel, k_min=1, row_max=n - 1, col_max=n - 1)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batteries import CostFunction, WorkDistribution, average_work, general_cost, variance
-from .channels import WitSubchannels
+from .channels import WitSubchannels, ladder_spectrum
 from .construction import (
     auto_battery_size,
-    ladder_spectrum,
     ladder_work_distribution,
     truncation_tail,
 )

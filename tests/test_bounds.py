@@ -14,7 +14,7 @@ from thermops.bounds import (
     theorem1_certify,
     theorem2_bound,
 )
-from thermops.channels import identity_channel, random_gibbs_stochastic
+from thermops.channels import ThermalChannel, identity_channel, random_gibbs_stochastic
 from thermops.construction import extend_to_oscillator
 from thermops.errors import DomainError, ETIViolated, IndexOutOfRange
 from thermops.experiments import (
@@ -187,7 +187,7 @@ class TestTheorem1:
         m = ch.matrix.copy()
         r4 = m.reshape(sub.dim, 11, sub.dim, 11)
         r4[:, 3, :, 4] *= 0.9  # interior drop block no longer matches its band
-        bad = type(ch)(m, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+        bad = ThermalChannel(m, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
         state = gibbs_state(sub.system, 1.0)
         with pytest.raises(ETIViolated):
             theorem1_certify(bad, state, k_min=1)

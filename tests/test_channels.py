@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.channels import (
+    LadderChannel,
     ThermalChannel,
     WitSubchannels,
     apply,
@@ -13,6 +18,7 @@ from thermops.channels import (
     validate,
 )
 from thermops.construction import extend_to_oscillator
+from thermops.erasure import oscillator_erasure_subchannels
 from thermops.errors import DimensionMismatch, IndexOutOfRange, InvalidSubchannels, NonUniformBattery
 from thermops.experiments import random_wit_subchannels
 from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state, logsumexp
@@ -236,6 +242,66 @@ class TestETIOracle:
                         continue
                     a, b, k_hi, k_lo, d = rep.worst
                     assert r4[a, k_hi + d, b, k_hi] - r4[a, k_lo + d, b, k_lo] == expected
+
+
+def _ladder_subchannels():
+    """Seeded wit operations on 1-4 level systems, and erasure blocks (r11 = 0 at eps = 0)."""
+    for dim in (1, 2, 3, 4):
+        rng = np.random.default_rng(200 + dim)
+        sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, dim))), "sys")
+        wit = random_gibbs_stochastic(sys, EnergySpectrum.wit(float(rng.uniform(0.8, 1.6))), 1.0, dim, 30)
+        yield WitSubchannels.from_channel(wit)
+    yield oscillator_erasure_subchannels(0.0)
+    yield oscillator_erasure_subchannels(0.1)
+
+
+def _eti_windows(n):
+    """(k_min, convention, row_max, col_max): every "main" window up to N = 12, a grid of them
+    above, and the "appendix" windows with row_max = col_max among them."""
+    tops = range(n + 1) if n <= 12 else sorted({0, 1, 2, n // 2, n - 2, n - 1, n})
+    for k_min in tops:
+        for row_max in (t for t in tops if t >= k_min):
+            for col_max in tops:
+                yield k_min, "main", row_max, col_max
+            yield k_min, "appendix", row_max, row_max
+
+
+class TestLadderETIByConstruction:
+    """The unscanned interior windows of a LadderChannel against the dense scan of its matrix."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 40])
+    def test_reports_match_dense_scan(self, n):
+        for sub in _ladder_subchannels():
+            ch = extend_to_oscillator(sub, n)
+            dense = ThermalChannel(ch.matrix, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+            for window in _eti_windows(n):
+                k_min, convention, row_max, col_max = window
+                rep = check_eti(ch, k_min, convention, row_max, col_max)
+                assert rep == check_eti(dense, k_min, convention, row_max, col_max), window
+                if convention == "main" and k_min >= 1 and max(row_max, col_max) <= n - 1:
+                    assert rep.max_violation == 0.0 and rep.worst is None, window
+
+
+class TestLadderChannel:
+    def test_foreign_matrix_cannot_be_attached(self):
+        ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 6)
+        m = ch.matrix.copy()
+        with pytest.raises(TypeError):
+            type(ch)(m, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+        with pytest.raises(TypeError):
+            LadderChannel(m, 6)
+        with pytest.raises(TypeError):
+            dataclasses.replace(ch, matrix=m)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.matrix = m
+        assert not ch.matrix.flags.writeable
+
+    def test_copy_rebuilds_from_blocks(self):
+        ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 6)
+        for other in (copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
+            assert type(other) is LadderChannel and other.num_quanta == 6
+            assert_array_equal(other.matrix, ch.matrix)
+            assert not other.matrix.flags.writeable
 
 
 class TestExtractSubchannels:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from thermops.batteries import average_work, work_distribution
 from thermops.channels import (
+    ThermalChannel,
     WitSubchannels,
     apply,
     extract_subchannels,
@@ -183,11 +184,29 @@ class TestVerifyExtension:
         m = ch.matrix.copy()
         r4 = m.reshape(2, 11, 2, 11)
         r4[0, 4, 0, 5] += 1e-3  # tamper with the (5 -> 4) drop block
-        bad = type(ch)(m, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+        bad = ThermalChannel(m, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
         report = verify_extension(bad)
         assert not report.blocks_ok
         assert report.block_first_mismatch == 5
         assert_allclose(report.block_max_deviation, 1e-3, rtol=1e-9)
+
+    def test_ladder_supplies_its_own_tail(self):
+        ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 20)
+        own = truncation_tail(ch.sub, 20)
+        assert verify_extension(ch).tail == own
+        # Equal blocks built anew are the same operation.
+        assert verify_extension(ch, oscillator_erasure_subchannels(0.1)).tail == own
+
+    def test_foreign_sub_rejected_on_ladder(self):
+        ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 20)
+        with pytest.raises(DomainError):
+            verify_extension(ch, oscillator_erasure_subchannels(0.3))
+
+    def test_sub_dimension_checked_on_plain_channel(self):
+        ch = extend_to_oscillator(random_wit_subchannels(8, 0), 10)
+        plain = ThermalChannel(ch.matrix, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+        with pytest.raises(DimensionMismatch):
+            verify_extension(plain, oscillator_erasure_subchannels(0.1))
 
 
 def block_by_block_extension(sub, n):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import thermops
 from thermops.channels import random_gibbs_stochastic
 from thermops.cli import main
 from thermops.construction import MAX_BATTERY_SIZE
@@ -104,6 +109,16 @@ class TestSubchannelConfig:
 
 
 class TestCli:
+    def test_module_entry_point(self):
+        # `python -m thermops` with the package found the way this process found it.
+        src = str(Path(thermops.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermops", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+
     def test_run_example3_writes_manifest_and_tables(self, tmp_path):
         out = tmp_path / "e3"
         code = main(["run", "example3", "--num-quanta", "32", "--out", str(out)])
