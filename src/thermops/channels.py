@@ -392,7 +392,11 @@ class WitSubchannels:
         return stoch, gibbs
 
     def check(self, stoch_tol: float = STOCHASTIC_TOL, gibbs_tol: float = GIBBS_TOL) -> None:
-        mins = min(m.min() for m in (self.r00, self.r01, self.r10, self.r11))
+        blocks = (self.r00, self.r01, self.r10, self.r11)
+        # NaN fails every comparison below, so it has to be rejected here.
+        if not all(np.isfinite(m).all() for m in blocks):
+            raise InvalidSubchannels("non-finite subchannel entry")
+        mins = min(m.min() for m in blocks)
         if mins < -1e-15:
             raise InvalidSubchannels(f"negative subchannel entry {mins}")
         stoch, gibbs = self.residuals()

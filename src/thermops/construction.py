@@ -202,17 +202,26 @@ def verify_extension(channel: ThermalChannel, sub: WitSubchannels | None = None)
     The interior band excludes the top battery row, where the completed
     map mirrors the vacuum and translation symmetry necessarily breaks.
     The truncation tail comes from `sub`; a LadderChannel supplies its own
-    blocks, and a `sub` passed with it must equal them.
+    blocks, and a `sub` passed with it must equal them.  On any other
+    channel, `sub.r00`, `sub.r10` and `sub.r11` must equal the channel's
+    (0 -> 0), (1 -> 0) and (N -> N) blocks bit for bit (channel files keep
+    these bits exactly).
     """
+    n = channel.n_battery - 1
     if isinstance(channel, LadderChannel):
         if sub is not None and not _same_operation(sub, channel.sub):
             raise DomainError("sub differs from the wit operation the ladder channel was built from")
         sub = channel.sub
-    elif sub is not None and sub.dim != channel.d_in:
-        raise DimensionMismatch(
-            f"subchannels of dimension {sub.dim} for a channel with d_in = {channel.d_in}"
-        )
-    n = channel.n_battery - 1
+    elif sub is not None:
+        if sub.dim != channel.d_in:
+            raise DimensionMismatch(
+                f"subchannels of dimension {sub.dim} for a channel with d_in = {channel.d_in}"
+            )
+        for name, k, k_prime in (("r00", 0, 0), ("r10", 1, 0), ("r11", n, n)):
+            if not np.array_equal(getattr(sub, name), extract_subchannels(channel, k, k_prime)):
+                raise DomainError(
+                    f"sub.{name} differs from the channel's ({k} -> {k_prime}) block"
+                )
     report = validate(channel)
     eti = check_eti(channel, k_min=1, row_max=n - 1, col_max=n - 1)
 

@@ -7,6 +7,7 @@ throughout, so that erasing one bit costs ln 2 at beta = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,7 @@ class DiagonalState:
             raise DomainError(f"negative probability {np.min(p)}")
         p = np.clip(p, 0.0, None)
         total = p.sum()
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN or inf entry makes the sum fail too
             raise DomainError(f"probabilities sum to {total}, expected 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -145,9 +146,14 @@ class DiagonalState:
         return cls(probs=np.kron(a.probs, b.probs), spectrum=joint_spectrum(a.spectrum, b.spectrum))
 
 
+def check_beta(beta: float) -> None:
+    """Raise DomainError unless beta is a finite positive number."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+
+
 def _check_exp_range(spectrum: EnergySpectrum, beta: float) -> None:
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     worst = beta * np.max(np.abs(spectrum.array))
     if worst > EXP_GUARD:
         raise OverflowRisk(f"beta*|E| = {worst} exceeds the {EXP_GUARD} guard")

@@ -372,6 +372,15 @@ class TestWitSubchannels:
         with pytest.raises(InvalidSubchannels):
             sub.check()
 
+    def test_nan_blocks_rejected(self):
+        sub = oscillator_erasure_subchannels(0.1)
+        r01 = np.where(sub.r01 != 0.0, np.nan, 0.0)
+        bad = dataclasses.replace(sub, r01=r01)
+        with pytest.raises(InvalidSubchannels):
+            bad.check()
+        with pytest.raises(InvalidSubchannels):
+            extend_to_oscillator(bad, 6)
+
     def test_channel_round_trip(self):
         ch = random_gibbs_stochastic(small_sys(), EnergySpectrum.wit(0.9), 1.0, seed=6, num_mixes=25)
         sub = WitSubchannels.from_channel(ch)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -24,6 +26,7 @@ from thermops.construction import (
 from thermops.erasure import oscillator_erasure_subchannels
 from thermops.errors import DimensionMismatch, DomainError, InvalidSubchannels, NonConvergentSeries
 from thermops.experiments import random_wit_subchannels, thermalization_subchannels
+from thermops.fileio import channel_from_text, channel_to_text
 from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state
 
 LN2 = np.log(2.0)
@@ -201,6 +204,23 @@ class TestVerifyExtension:
         ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 20)
         with pytest.raises(DomainError):
             verify_extension(ch, oscillator_erasure_subchannels(0.3))
+
+    def test_foreign_sub_rejected_on_plain_channel(self):
+        sub = oscillator_erasure_subchannels(0.1)
+        ch = extend_to_oscillator(sub, 5)
+        plain = ThermalChannel(ch.matrix, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
+        with pytest.raises(DomainError):
+            verify_extension(plain, oscillator_erasure_subchannels(0.3))
+        # One last-bit change in any of the three blocks compared is refused.
+        for name in ("r00", "r10", "r11"):
+            block = getattr(sub, name).copy()
+            block[0, 0] = np.nextafter(block[0, 0], 1.0)
+            with pytest.raises(DomainError):
+                verify_extension(plain, dataclasses.replace(sub, **{name: block}))
+        # The channel's own blocks pass, also after a round trip through a channel file.
+        own = truncation_tail(sub, 5)
+        assert verify_extension(plain, oscillator_erasure_subchannels(0.1)).tail == own
+        assert verify_extension(channel_from_text(channel_to_text(plain)), sub).tail == own
 
     def test_sub_dimension_checked_on_plain_channel(self):
         ch = extend_to_oscillator(random_wit_subchannels(8, 0), 10)

@@ -320,6 +320,18 @@ class TestCliErrors:
         record = _error_record(capsys)
         assert record["error"] == "DomainError" and "beta" in record["message"]
 
+    @pytest.mark.parametrize("flag", ["nan", "-1", "0"])
+    def test_feasibility_with_bad_beta(self, tmp_path, capsys, flag):
+        p = tmp_path / "p.cfg"
+        q = tmp_path / "q.cfg"
+        p.write_text("levels = [0.0, 0.5]\nprobs = [0.7, 0.3]\n")
+        q.write_text("levels = [0.0, 0.5]\nprobs = [0.6, 0.4]\n")
+        assert main(["feasibility", "check", str(p), str(q), "--beta", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no verdicts printed
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["error"] == "DomainError" and "beta" in record["message"]
+
     @pytest.mark.parametrize("flag", [None, 1.0])
     def test_feasibility_with_agreeing_beta(self, tmp_path, capsys, flag):
         p = tmp_path / "p.cfg"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from thermops.errors import OverflowRisk, SupportMismatch, ZeroProbability
+from thermops.errors import DomainError, OverflowRisk, SupportMismatch, ZeroProbability
 from thermops.spectra import (
     DiagonalState,
     EnergySpectrum,
@@ -47,6 +47,14 @@ class TestPartitionFunction:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             partition_function(qubit(), 0.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_beta_must_be_finite(self, beta):
+        # Degenerate levels make beta * |E| zero, so only the beta check can refuse.
+        with pytest.raises(DomainError):
+            partition_function(qubit(), beta)
+        with pytest.raises(DomainError):
+            gibbs_state(qubit(), beta)
 
 
 class TestGibbsState:
@@ -183,6 +191,11 @@ class TestStateValidation:
     def test_negative_probability(self):
         with pytest.raises(ValueError):
             DiagonalState(np.array([1.1, -0.1]), qubit())
+
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0]])
+    def test_non_finite_probability(self, probs):
+        with pytest.raises(DomainError):
+            DiagonalState(np.array(probs), qubit())
 
     def test_sum_enforced(self):
         with pytest.raises(ValueError):
