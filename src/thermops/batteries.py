@@ -112,11 +112,6 @@ class WorkDistribution:
         hit = np.abs(self.support - w) <= tol
         return float(self.probs[hit].sum())
 
-    def to_csv_text(self) -> str:
-        lines = ["w,p"]
-        lines += [f"{w:.17g},{p:.17g}" for w, p in zip(self.support, self.probs)]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class CostFunction:

@@ -6,6 +6,9 @@ pairs, flattened system-major: index(s, k) = s * n_battery + k.  Validity
 means column sums 1 (trace preservation) and R g_in = g_out for the joint
 Gibbs weight vectors (fixed-point condition), which is the channel-level
 form of Gibbs-stochasticity.
+
+A wit operation (`WitSubchannels`) is valid by construction, and its
+two-level channel is the N = 1 `LadderChannel`.
 """
 
 from __future__ import annotations
@@ -349,7 +352,8 @@ class WitSubchannels:
     preservation columnwise and the Gibbs pair conditions
     r00 g + e^{-beta delta} r10 g = g,
     r01 g + e^{-beta delta} r11 g = e^{-beta delta} g,
-    with g the unnormalized system Gibbs weights.
+    with g the unnormalized system Gibbs weights.  Making the blocks checks
+    both, and finite entries >= -1e-15, or raises InvalidSubchannels.
     """
 
     r00: np.ndarray
@@ -368,8 +372,20 @@ class WitSubchannels:
                 raise DimensionMismatch(f"{name} has shape {m.shape}, expected ({d}, {d})")
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN too
             raise DomainError("wit gap must be non-negative")
+        blocks = (self.r00, self.r01, self.r10, self.r11)
+        # NaN fails every comparison below, so it has to be rejected here.
+        if not all(np.isfinite(m).all() for m in blocks):
+            raise InvalidSubchannels("non-finite subchannel entry")
+        mins = min(m.min() for m in blocks)
+        if mins < -1e-15:
+            raise InvalidSubchannels(f"negative subchannel entry {mins}")
+        stoch, gibbs = self.residuals()
+        if stoch > STOCHASTIC_TOL:
+            raise InvalidSubchannels(f"stochasticity residual {stoch}")
+        if gibbs > GIBBS_TOL:
+            raise InvalidSubchannels(f"Gibbs pair residual {gibbs}")
 
     @property
     def dim(self) -> int:
@@ -391,20 +407,6 @@ class WitSubchannels:
         gibbs = float(max(np.max(np.abs(pair0 / g)), np.max(np.abs(pair1 / g))))
         return stoch, gibbs
 
-    def check(self, stoch_tol: float = STOCHASTIC_TOL, gibbs_tol: float = GIBBS_TOL) -> None:
-        blocks = (self.r00, self.r01, self.r10, self.r11)
-        # NaN fails every comparison below, so it has to be rejected here.
-        if not all(np.isfinite(m).all() for m in blocks):
-            raise InvalidSubchannels("non-finite subchannel entry")
-        mins = min(m.min() for m in blocks)
-        if mins < -1e-15:
-            raise InvalidSubchannels(f"negative subchannel entry {mins}")
-        stoch, gibbs = self.residuals()
-        if stoch > stoch_tol:
-            raise InvalidSubchannels(f"stochasticity residual {stoch}")
-        if gibbs > gibbs_tol:
-            raise InvalidSubchannels(f"Gibbs pair residual {gibbs}")
-
     @classmethod
     def from_channel(cls, channel: ThermalChannel) -> "WitSubchannels":
         if channel.n_battery != 2:
@@ -422,21 +424,9 @@ class WitSubchannels:
             system=channel.sys_in,
         )
 
-    def as_channel(self) -> ThermalChannel:
-        """Assemble the 2-level-battery channel with these blocks."""
-        d = self.dim
-        r4 = np.zeros((d, 2, d, 2))
-        r4[:, 0, :, 0] = self.r00
-        r4[:, 1, :, 0] = self.r01
-        r4[:, 0, :, 1] = self.r10
-        r4[:, 1, :, 1] = self.r11
-        return ThermalChannel(
-            r4.reshape(2 * d, 2 * d),
-            self.system,
-            self.system,
-            EnergySpectrum.wit(self.delta),
-            self.beta,
-        )
+    def as_channel(self) -> LadderChannel:
+        """The two-level-battery channel with these blocks: the N = 1 ladder."""
+        return LadderChannel(self, 1)
 
 
 def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
@@ -451,13 +441,13 @@ def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
 class LadderChannel(ThermalChannel):
     """The completed (N+1)-level ladder extension of a wit operation.
 
-    Built only from the wit blocks `sub` and N = `num_quanta` (see
-    construction.py for the block layout).  Every interior band is filled
-    from one shared block array, so translation invariance above the vacuum
-    and below the top row holds exactly, and `check_eti` does not scan that
-    window.  The matrix is read-only, and a foreign matrix cannot be
-    attached: positional construction from a matrix and
-    `dataclasses.replace` raise TypeError.
+    Built only from the wit blocks `sub` and an integer N = `num_quanta` >= 1
+    (see construction.py for the block layout); N = 1 is the wit channel
+    itself.  Every interior band is filled from one shared block array, so
+    translation invariance above the vacuum and below the top row holds
+    exactly, and `check_eti` does not scan that window.  The matrix is
+    read-only, and a foreign matrix cannot be attached: positional
+    construction from a matrix and `dataclasses.replace` raise TypeError.
     """
 
     sub: WitSubchannels
@@ -466,6 +456,8 @@ class LadderChannel(ThermalChannel):
     def __init__(self, sub: WitSubchannels, num_quanta: int):
         if not isinstance(sub, WitSubchannels):
             raise TypeError("a LadderChannel is built from WitSubchannels and num_quanta")
+        if not isinstance(num_quanta, (int, np.integer)) or num_quanta < 1:
+            raise DomainError(f"num_quanta must be an integer >= 1, got {num_quanta!r}")
         d, n = sub.dim, num_quanta
         nb = n + 1
 

@@ -7,6 +7,10 @@ Any valid two-level-battery operation, given by subchannel blocks
   column 0 < k < N:  r10 at k-1,  r00 r01^i r11 at k+i,   r01^{N-k} r11 at N
   column k = N:      r10 at N-1,  r11 at N
 
+At N = 1 this is the wit channel itself (`WitSubchannels.as_channel`).  A
+`WitSubchannels` is checked when it is made, so the functions here take
+its validity as given and do not check it again.
+
 The top-level completion makes the finite map exactly trace- and
 Gibbs-preserving; translation symmetry then holds on the interior band
 above the vacuum (threshold level 1) but necessarily breaks at the top
@@ -70,7 +74,6 @@ def _require_ladder(num_quanta: int) -> None:
 def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> LadderChannel:
     """Build the completed (N+1)-level extension of a wit operation."""
     _require_ladder(num_quanta)
-    sub.check()
     return LadderChannel(sub, num_quanta)
 
 
@@ -103,7 +106,6 @@ def ladder_work_distribution(
     offset masses are the sums in the module docstring.
     """
     _require_ladder(num_quanta)
-    sub.check()
     n = num_quanta
     if len(sys.spectrum) != sub.dim or len(bat.spectrum) != n + 1:
         raise DimensionMismatch("state dimensions do not match the ladder extension")
@@ -130,24 +132,21 @@ def truncation_tail(sub: WitSubchannels, num_quanta: int) -> float:
     return float(np.abs(p).sum(axis=0).max())
 
 
-def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL, cap: int | None = None) -> int:
-    """Smallest N >= 2 with truncation_tail(sub, N) <= tol; an explicit cap ends the search there.
+def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
+    """Smallest N >= 2 with truncation_tail(sub, N) <= tol.
 
     The columns of a valid r01 sum to at most 1, so the tail ||r01^N||_1
     does not grow with N: the search doubles N until the tail is small
-    enough and then bisects, O(log^2 N) products of d x d blocks.  Without
-    a cap the doubling ends only if r01 has spectral radius below 1, which
-    is checked first.
+    enough and then bisects, O(log^2 N) products of d x d blocks.  The
+    doubling ends only if r01 has spectral radius below 1, which is
+    checked first.
     """
     if not tol > 0.0:
         raise DomainError(f"tail tolerance must be positive, got {tol}")
-    if cap is None:
-        _require_convergent(sub.r01)
+    _require_convergent(sub.r01)
     lo, hi = 1, 2  # the answer lies in (lo, hi] once the tail at hi is small
     while truncation_tail(sub, hi) > tol:
-        if cap is not None and hi >= cap:
-            return max(cap, 2)
-        lo, hi = hi, 2 * hi if cap is None else min(2 * hi, cap)
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if truncation_tail(sub, mid) > tol:

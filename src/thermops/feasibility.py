@@ -8,7 +8,10 @@ polytope {R >= 0, 1^T R = 1^T, R g = g, R p = q}.  They must agree.
 The least wit gap for forming sigma out of rho (Horodecki and Oppenheim,
 Nat. Commun. 4, 2059 (2013)) is read off the two curves.  At gap delta the
 curve of rho (x) |1> is L_rho(e^{beta delta} x), and the curve of
-sigma (x) |0> is L_sigma continued flat.  The curve criterion holds at
+sigma (x) |0> is L_sigma continued flat.  `formation_feasible_at` decides
+one gap on these two d-level curves, with rho's weights taken on its levels
+raised by delta (the joint state's own weights, not L_rho's x-axis scaled
+by e^{-beta delta}, which rounds differently).  The curve criterion holds at
 every vertex (x_i, y_i) of L_sigma iff e^{beta delta} x_i >= X_rho(y_i - tol),
 where X_rho(y) is the least x with L_rho(x) >= y and tol = CURVE_Y_TOL, so
 
@@ -28,12 +31,13 @@ beta is finite and positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, Infeasible, SolverFailure, SpectrumMismatch
-from .spectra import DiagonalState, EnergySpectrum, check_beta, d_max, joint_spectrum
+from .spectra import DiagonalState, check_beta, d_max
 
 CURVE_Y_TOL = 1e-12
 LP_TOL = 1e-9
@@ -49,21 +53,25 @@ class ThermoCurve:
     def value_at(self, x) -> np.ndarray:
         return np.interp(x, self.xs, self.ys)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.xs[-1])
+    def lies_above(self, other: "ThermoCurve", tol: float = CURVE_Y_TOL) -> bool:
+        """True iff this curve is at least other's y - tol at every vertex of other."""
+        return bool(np.all(self.value_at(other.xs) >= other.ys - tol))
 
 
-def thermo_curve(state: DiagonalState, beta: float) -> ThermoCurve:
+def _curve(probs: np.ndarray, energies: np.ndarray, beta: float) -> ThermoCurve:
     """Sort levels by p_i e^{beta E_i} descending (ties by index) and accumulate."""
-    energies = state.spectrum.array
-    slopes = state.probs * np.exp(beta * energies)
+    slopes = probs * np.exp(beta * energies)
     order = np.lexsort((np.arange(len(slopes)), -slopes))
     w = np.exp(-beta * energies)[order]
-    p = state.probs[order]
+    p = probs[order]
     xs = np.concatenate(([0.0], np.cumsum(w)))
     ys = np.concatenate(([0.0], np.cumsum(p)))
     return ThermoCurve(xs=xs, ys=ys)
+
+
+def thermo_curve(state: DiagonalState, beta: float) -> ThermoCurve:
+    """The thermo-curve of a state on its own levels."""
+    return _curve(state.probs, state.spectrum.array, beta)
 
 
 def thermo_majorizes(p: DiagonalState, q: DiagonalState, beta: float, tol: float = CURVE_Y_TOL) -> bool:
@@ -71,9 +79,7 @@ def thermo_majorizes(p: DiagonalState, q: DiagonalState, beta: float, tol: float
     check_beta(beta)
     if p.spectrum != q.spectrum:
         raise SpectrumMismatch("thermomajorization compares states on one spectrum")
-    cp = thermo_curve(p, beta)
-    cq = thermo_curve(q, beta)
-    return bool(np.all(cp.value_at(cq.xs) >= cq.ys - tol))
+    return thermo_curve(p, beta).lies_above(thermo_curve(q, beta), tol)
 
 
 def _bland_pivot(t: np.ndarray, basis: list[int]) -> tuple[int, int] | None:
@@ -158,35 +164,26 @@ def lp_feasible_transport(p: DiagonalState, q: DiagonalState, beta: float) -> bo
     g = g / g.sum()  # normalized fixed point, better conditioned
 
     # Variables R_ij flattened row-major; constraint rows: column sums,
-    # R g = g, R p = q.
-    a = np.zeros((3 * d, d * d))
-    b = np.zeros(3 * d)
-    for j in range(d):
-        a[j, j::d] = 1.0
-        b[j] = 1.0
-    for i in range(d):
-        a[d + i, i * d : (i + 1) * d] = g
-        b[d + i] = g[i]
-        a[2 * d + i, i * d : (i + 1) * d] = p.probs
-        b[2 * d + i] = q.probs[i]
+    # R g = g, R p = q.  The last two blocks are np.kron(eye, g) and
+    # np.kron(eye, p), broadcast (np.kron costs about 20 us a call here).
+    eye = np.eye(d)
+    diag = eye[:, :, None]
+    a = np.vstack((np.tile(eye, d), (diag * g).reshape(d, -1), (diag * p.probs).reshape(d, -1)))
+    b = np.concatenate((np.ones(d), g, q.probs))
 
     feasible, _ = _phase_one_simplex(a, b)
     return feasible
 
 
-def _wit_joint_state(sys_state: DiagonalState, wit_level: int, delta: float) -> DiagonalState:
-    wit = EnergySpectrum.wit(delta)
-    battery = np.zeros(2)
-    battery[wit_level] = 1.0
-    joint = np.kron(sys_state.probs, battery)
-    return DiagonalState(probs=joint, spectrum=joint_spectrum(sys_state.spectrum, wit))
-
-
 def formation_feasible_at(rho: DiagonalState, sigma: DiagonalState, beta: float, delta: float) -> bool:
-    """Is rho (x) |1> -> sigma (x) |0> allowed at wit gap delta?"""
-    return thermo_majorizes(
-        _wit_joint_state(rho, 1, delta), _wit_joint_state(sigma, 0, delta), beta
-    )
+    """Is rho (x) |1> -> sigma (x) |0> allowed at wit gap delta?  (Two d-level curves.)"""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise DomainError(f"wit gap must be finite and non-negative, got {delta}")
+    check_beta(beta)
+    if rho.spectrum != sigma.spectrum:
+        raise SpectrumMismatch("formation needs both states on one system spectrum")
+    source = _curve(rho.probs, rho.spectrum.array + delta, beta)
+    return source.lies_above(thermo_curve(sigma, beta))
 
 
 def _least_x(curve: ThermoCurve, y: np.ndarray) -> np.ndarray:

@@ -141,10 +141,6 @@ class DiagonalState:
         p[index] = 1.0
         return cls(probs=p, spectrum=spectrum)
 
-    @classmethod
-    def product(cls, a: "DiagonalState", b: "DiagonalState") -> "DiagonalState":
-        return cls(probs=np.kron(a.probs, b.probs), spectrum=joint_spectrum(a.spectrum, b.spectrum))
-
 
 def check_beta(beta: float) -> None:
     """Raise DomainError unless beta is a finite positive number."""

@@ -92,12 +92,6 @@ class TestWorkDistribution:
             )
             assert diff < 1e-10
 
-    def test_csv_round_trip_text(self):
-        wd = WorkDistribution(support=np.array([-1.0, 2.0]), probs=np.array([0.75, 0.25]))
-        text = wd.to_csv_text()
-        assert text.splitlines()[0] == "w,p"
-        assert len(text.splitlines()) == 3
-
 
 def leader_rule_merge(values, probs, tol):
     """Reference merge, one value at a time: a sorted value joins the current

@@ -19,8 +19,14 @@ from thermops.channels import (
 )
 from thermops.construction import extend_to_oscillator
 from thermops.erasure import oscillator_erasure_subchannels
-from thermops.errors import DimensionMismatch, IndexOutOfRange, InvalidSubchannels, NonUniformBattery
-from thermops.experiments import random_wit_subchannels
+from thermops.errors import (
+    DimensionMismatch,
+    DomainError,
+    IndexOutOfRange,
+    InvalidSubchannels,
+    NonUniformBattery,
+)
+from thermops.experiments import random_wit_subchannels, thermalization_subchannels
 from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state, logsumexp
 
 LN2 = np.log(2.0)
@@ -296,6 +302,11 @@ class TestLadderChannel:
             ch.matrix = m
         assert not ch.matrix.flags.writeable
 
+    @pytest.mark.parametrize("num_quanta", [0, -1, 2.5])
+    def test_battery_size_must_be_a_positive_integer(self, num_quanta):
+        with pytest.raises(DomainError):
+            LadderChannel(oscillator_erasure_subchannels(0.1), num_quanta)
+
     def test_copy_rebuilds_from_blocks(self):
         ch = extend_to_oscillator(oscillator_erasure_subchannels(0.1), 6)
         for other in (copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
@@ -357,33 +368,65 @@ class TestWitSubchannels:
         )
         stoch, gibbs = sub.residuals()
         assert stoch < 1e-15 and gibbs < 1e-15
-        sub.check()
 
     def test_invalid_blocks_rejected(self):
-        sub = WitSubchannels(
-            r00=np.eye(2) * 0.4,
-            r01=np.eye(2) * 0.4,
-            r10=np.eye(2) * 0.5,
-            r11=np.eye(2) * 0.5,
-            delta=1.0,
-            beta=1.0,
-            system=EnergySpectrum.trivial(2),
-        )
         with pytest.raises(InvalidSubchannels):
-            sub.check()
+            WitSubchannels(
+                r00=np.eye(2) * 0.4,
+                r01=np.eye(2) * 0.4,
+                r10=np.eye(2) * 0.5,
+                r11=np.eye(2) * 0.5,
+                delta=1.0,
+                beta=1.0,
+                system=EnergySpectrum.trivial(2),
+            )
 
     def test_nan_blocks_rejected(self):
         sub = oscillator_erasure_subchannels(0.1)
         r01 = np.where(sub.r01 != 0.0, np.nan, 0.0)
-        bad = dataclasses.replace(sub, r01=r01)
         with pytest.raises(InvalidSubchannels):
-            bad.check()
+            dataclasses.replace(sub, r01=r01)
         with pytest.raises(InvalidSubchannels):
-            extend_to_oscillator(bad, 6)
+            WitSubchannels(sub.r00, r01, sub.r10, sub.r11, sub.delta, sub.beta, sub.system)
+
+    def test_nan_gap_rejected(self):
+        sub = oscillator_erasure_subchannels(0.1)
+        with pytest.raises(DomainError):
+            dataclasses.replace(sub, delta=float("nan"))
 
     def test_channel_round_trip(self):
         ch = random_gibbs_stochastic(small_sys(), EnergySpectrum.wit(0.9), 1.0, seed=6, num_mixes=25)
         sub = WitSubchannels.from_channel(ch)
         back = sub.as_channel()
         assert np.array_equal(back.matrix, ch.matrix)
-        sub.check()
+        assert type(back) is LadderChannel and back.num_quanta == 1 and back.sub is sub
+        assert back.battery == ch.battery
+
+
+def block_assembled_wit_channel(sub: WitSubchannels) -> ThermalChannel:
+    """Reference: the two-level channel assembled block by block."""
+    d = sub.dim
+    r4 = np.zeros((d, 2, d, 2))
+    r4[:, 0, :, 0] = sub.r00
+    r4[:, 1, :, 0] = sub.r01
+    r4[:, 0, :, 1] = sub.r10
+    r4[:, 1, :, 1] = sub.r11
+    return ThermalChannel(r4.reshape(2 * d, 2 * d), sub.system, sub.system, EnergySpectrum.wit(sub.delta), sub.beta)
+
+
+class TestWitChannelIsLadder:
+    def test_matches_block_assembly(self):
+        rng = np.random.default_rng(17)
+        subs = []
+        for seed in range(300):
+            d = int(rng.integers(1, 7))
+            sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.5, d))))
+            wit = EnergySpectrum.wit(float(rng.uniform(0.0, 2.0)))
+            ch = random_gibbs_stochastic(sys, wit, float(rng.choice([0.1, 1.0, 5.0])), seed, 25)
+            subs.append(WitSubchannels.from_channel(ch))
+        subs += [oscillator_erasure_subchannels(eps) for eps in (0.0, 0.1, 0.3, 0.49)]
+        subs += [thermalization_subchannels(1.0, delta) for delta in (0.8, 0.0)]  # 0: degenerate battery
+        for sub in subs:
+            ch, ref = sub.as_channel(), block_assembled_wit_channel(sub)
+            assert ch.matrix.tobytes() == ref.matrix.tobytes()
+            assert (ch.sys_in, ch.sys_out, ch.battery, ch.beta) == (ref.sys_in, ref.sys_out, ref.battery, ref.beta)

@@ -66,12 +66,11 @@ class TestExtension:
             assert np.max(np.abs(out.probs - expected)) < 1e-15
 
     def test_invalid_subchannels_rejected(self):
-        bad = WitSubchannels(
-            r00=np.eye(2), r01=np.eye(2), r10=np.zeros((2, 2)), r11=np.zeros((2, 2)),
-            delta=0.5, beta=1.0, system=qubit(),
-        )
         with pytest.raises(InvalidSubchannels):
-            extend_to_oscillator(bad, 5)
+            WitSubchannels(
+                r00=np.eye(2), r01=np.eye(2), r10=np.zeros((2, 2)), r11=np.zeros((2, 2)),
+                delta=0.5, beta=1.0, system=qubit(),
+            )
 
     def test_gibbs_fixed_point_large_battery(self):
         sub = random_wit_subchannels(404, 0)
@@ -302,10 +301,6 @@ class TestBatterySizing:
             assert truncation_tail(sub, n) <= 1e-12
             assert truncation_tail(sub, n - 1) > 1e-12 or n == 2
 
-    def test_cap(self):
-        sub = oscillator_erasure_subchannels(0.49)
-        assert auto_battery_size(sub, cap=50) == 50
-
     def test_unit_spectral_radius_has_no_size(self):
         sub = WitSubchannels(
             r00=np.zeros((2, 2)), r01=np.eye(2), r10=np.eye(2), r11=np.zeros((2, 2)),
@@ -313,7 +308,6 @@ class TestBatterySizing:
         )
         with pytest.raises(NonConvergentSeries):
             auto_battery_size(sub)
-        assert auto_battery_size(sub, cap=7) == 7
 
 
 class TestTheorem3:

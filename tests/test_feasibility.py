@@ -17,7 +17,7 @@ from thermops.feasibility import (
     thermo_curve,
     thermo_majorizes,
 )
-from thermops.spectra import DiagonalState, EnergySpectrum, d_max, gibbs_state
+from thermops.spectra import DiagonalState, EnergySpectrum, d_max, gibbs_state, joint_spectrum
 
 LN2 = np.log(2.0)
 FUZZ_BETAS = (0.1, 1.0, 5.0, 20.0)
@@ -41,7 +41,7 @@ class TestThermoCurve:
         tau = gibbs_state(sp, 1.0)
         curve = thermo_curve(tau, 1.0)
         # All slopes equal: each vertex sits on the chord to (Z, 1).
-        chord = curve.xs / curve.total_weight
+        chord = curve.xs / curve.xs[-1]
         assert_allclose(curve.ys, chord, atol=1e-14)
 
     def test_pure_ground_state(self):
@@ -303,6 +303,57 @@ class TestClosedFormGap:
         with pytest.raises(Infeasible):
             min_formation_gap(tau, sigma, 1.0, bracket_max=0.5)
         assert abs(min_formation_gap(tau, sigma, 1.0, bracket_max=0.7) - LN2) < 2e-10
+
+
+def reference_joint_state_probe(rho, sigma, beta, delta):
+    """The formation probe as first written: thermo_majorizes on the joint
+    states rho (x) |1> and sigma (x) |0> over the system x wit levels."""
+
+    def joint(state, wit_level):
+        battery = np.zeros(2)
+        battery[wit_level] = 1.0
+        spectrum = joint_spectrum(state.spectrum, EnergySpectrum.wit(delta))
+        return DiagonalState(np.outer(state.probs, battery).ravel(), spectrum)  # np.kron's entries
+
+    return thermo_majorizes(joint(rho, 1), joint(sigma, 0), beta)
+
+
+class TestCurveProbe:
+    def test_fuzz_matches_joint_state_probe(self):
+        """Same verdicts on 3,000 formations, at and next to the least gap."""
+        rng = np.random.default_rng(10)
+        verdicts = set()
+        for rho, sigma, beta in fuzz_formations(seed=11, count=3000):
+            deltas = [0.0]
+            try:
+                gap = min_formation_gap(rho, sigma, beta)
+                closed = feasibility._curve_gap(rho, sigma, beta)
+            except Infeasible:
+                gap = closed = 0.0
+            else:
+                deltas += [gap, gap + 1e-10, gap - 1e-10, gap - 1.01e-10, closed + 1e-10, closed - 1e-10]
+            deltas += list(rng.uniform(0.0, 2.0 * max(gap, closed) + 0.1, 5))
+            for delta in deltas:
+                if delta < 0.0:
+                    continue
+                verdict = formation_feasible_at(rho, sigma, beta, delta)
+                assert verdict == reference_joint_state_probe(rho, sigma, beta, delta)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+    def test_gap_must_be_finite_and_non_negative(self, delta):
+        tau = DiagonalState(np.array([0.5, 0.5]), qubit())
+        sigma = DiagonalState(np.array([0.75, 0.25]), qubit())
+        for probe in (formation_feasible_at, reference_joint_state_probe):
+            with pytest.raises(DomainError):
+                probe(tau, sigma, 1.0, delta)
+
+    def test_spectrum_mismatch(self):
+        tau = DiagonalState(np.array([0.5, 0.5]), qubit())
+        sigma = DiagonalState(np.array([0.75, 0.25]), EnergySpectrum((0.0, 0.3)))
+        with pytest.raises(SpectrumMismatch):
+            formation_feasible_at(tau, sigma, 1.0, 0.5)
 
 
 class TestBetaGuard:

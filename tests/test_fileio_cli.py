@@ -101,7 +101,8 @@ class TestSubchannelConfig:
             "R11": [[0.0, 0.0], [0.0, 0.0]],
         }
         sub = subchannels_from_config(cfg)
-        sub.check()
+        stoch, gibbs = sub.residuals()
+        assert stoch == 0.0 and gibbs < 1e-15
 
     def test_missing_keys_reported(self):
         with pytest.raises(DomainError):
@@ -264,6 +265,22 @@ class TestCliErrors:
         message = _error_record(capsys)["message"]
         assert "N = 2777" in message and f"N = {MAX_BATTERY_SIZE}" in message
         assert not out.exists()
+
+    def test_construct_invalid_subchannels(self, tmp_path, capsys):
+        # R00 = R01 = identity: every column of the battery-0 blocks sums to 2.
+        sub_file = tmp_path / "sub.cfg"
+        sub_file.write_text(
+            "delta = 0.5\nbeta = 1.0\nsys_levels = [0.0, 0.0]\n"
+            "R00 = [[1.0, 0.0], [0.0, 1.0]]\nR01 = [[1.0, 0.0], [0.0, 1.0]]\n"
+            "R10 = [[0.0, 0.0], [0.0, 0.0]]\nR11 = [[0.0, 0.0], [0.0, 0.0]]\n"
+        )
+        out, report = tmp_path / "channel.txt", tmp_path / "report.json"
+        code = main(["construct", "--subchannels", str(sub_file), "--num-quanta", "5",
+                     "--out", str(out), "--report", str(report)])
+        assert code == 2
+        record = _error_record(capsys)
+        assert record["error"] == "InvalidSubchannels" and "stochasticity" in record["message"]
+        assert not out.exists() and not report.exists()
 
     def test_experiment_flag_it_does_not_take(self, tmp_path, capsys):
         assert main(["fig4", "--trials", "3", "--out", str(tmp_path / "o")]) == 2
