@@ -39,6 +39,7 @@ from .batteries import (
     average_work,
     f1_measure,
     general_cost,
+    ladder_work_distribution,
     theorem4_check,
     variance,
     work_distribution,
@@ -48,7 +49,6 @@ from .construction import (
     auto_battery_size,
     closed_form_average_work,
     extend_to_oscillator,
-    ladder_work_distribution,
     theorem3_deterministic_work,
     truncation_tail,
     verify_extension,

@@ -2,6 +2,22 @@
 
 Work is the battery energy jump w = eps_k' - eps_k induced by one channel
 run; its distribution is the object every fluctuation measure acts on.
+
+On the completed ladder extension of a wit operation (construction.py) the
+work is (k' - k) delta with k' - k in {-1, 0, ..., N}, so for a product
+input x (x) b the work distribution is N + 2 masses.  With c = 1^T r00,
+S(m) = b_1 + ... + b_m and S(0) = 0, the mass at offset j is
+
+  j = -1:          (1^T r10 x) S(N)
+  0 <= j < N:      b_0 c r01^j x + S(N-1-j) c r01^j r11 x + b_{N-j} 1^T r01^j r11 x
+  j = N:           b_0 1^T r01^N x
+
+The three terms of the middle line come from column 0, from the interior
+columns 1..N-1-j, and from the top-row completion of column N-j (for
+j = 0 that is the r11 block of column N).  `ladder_work_distribution`
+evaluates these from the vector recursions r01^j x and r01^j r11 x in
+O(N d^2) time, without forming the (d(N+1))^2 matrix; at N = 1 they are
+the four blocks of the wit channel.
 """
 
 from __future__ import annotations
@@ -11,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ThermalChannel, apply, battery_marginal
+from .channels import LadderChannel, ThermalChannel, WitSubchannels, apply, battery_marginal
 from .errors import DimensionMismatch, DomainError, PreconditionViolated
 from .spectra import DiagonalState
 
@@ -126,10 +142,65 @@ class CostFunction:
             raise DomainError(f"cost function must vanish at 0, got f(0) = {at_zero}")
 
 
+def _power_orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """m^j v for j = 0..count-1, stacked along a new first axis.
+
+    Works in blocks of about sqrt(count) steps with one batched product per
+    block, so the Python loops take O(sqrt(count)) steps, not count.
+    """
+    block = max(1, int(np.sqrt(count)))
+    powers = np.empty((block, *m.shape))
+    powers[0] = np.eye(len(m))
+    for j in range(1, block):
+        powers[j] = m @ powers[j - 1]
+    out = np.empty((count, *v.shape))
+    for i in range(0, count, block):
+        chunk = powers[: count - i] @ v
+        out[i : i + len(chunk)] = chunk
+        v = m @ chunk[-1]
+    return out
+
+
+def ladder_work_distribution(
+    sub: WitSubchannels, num_quanta: int, sys: DiagonalState, bat: DiagonalState
+) -> WorkDistribution:
+    """Work distribution of the completed ladder extension, straight from the wit blocks.
+
+    The offset masses are the sums in the module docstring, in O(N d^2)
+    time and O(N d) memory; no channel is built.  work_distribution of a
+    LadderChannel is this function.
+    """
+    if num_quanta < 1:
+        raise DomainError(f"a ladder needs num_quanta >= 1, got {num_quanta}")
+    n = num_quanta
+    if len(sys.spectrum) != sub.dim or len(bat.spectrum) != n + 1:
+        raise DimensionMismatch("state dimensions do not match the ladder extension")
+    x, b = sys.probs, bat.probs
+
+    # Row j of `krylov` holds (r01^j x, r01^j r11 x) side by side.
+    krylov = _power_orbit(sub.r01, np.column_stack((x, sub.r11 @ x)), n + 1)
+    c = sub.r00.sum(axis=0)
+    from_vacuum = krylov[:n, :, 0] @ c
+    series = krylov[:n, :, 1] @ c
+    top = krylov[:n, :, 1].sum(axis=1)
+    above = np.concatenate(([0.0], np.cumsum(b[1:])))  # above[m] = S(m)
+
+    masses = np.empty(n + 2)
+    masses[0] = (sub.r10 @ x).sum() * above[n]
+    masses[1:-1] = b[0] * from_vacuum + above[n - 1::-1] * series + b[n:0:-1] * top
+    masses[-1] = b[0] * krylov[n, :, 0].sum()
+    return WorkDistribution(support=sub.delta * np.arange(-1, n + 1), probs=masses)
+
+
 def work_distribution(
     channel: ThermalChannel, sys: DiagonalState, bat: DiagonalState
 ) -> WorkDistribution:
-    """p(w) = sum over (k,k') with eps_k'-eps_k = w of the transfer mass."""
+    """p(w) = sum over (k,k') with eps_k'-eps_k = w of the transfer mass.
+
+    A LadderChannel's distribution is ladder_work_distribution of its blocks.
+    """
+    if isinstance(channel, LadderChannel):
+        return ladder_work_distribution(channel.sub, channel.num_quanta, sys, bat)
     if len(bat.spectrum) != channel.n_battery or len(sys.spectrum) != channel.d_in:
         raise DimensionMismatch("state dimensions do not match the channel")
     r4 = channel.blocks()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batteries import CheckReport, average_work, work_distribution
-from .channels import ThermalChannel, apply, check_eti, sys_marginal
+from .channels import LadderChannel, ThermalChannel, apply, check_eti, sys_marginal
 from .errors import DomainError, ETIViolated, IndexOutOfRange, NonUniformBattery
 from .spectra import (
     DiagonalState,
@@ -45,14 +45,27 @@ def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
     zero-probability levels.  The terms of a column are gathered
     contiguously in (s', k', s) order and summed along that row, as
     spectra.logsumexp sums them.  Columns are taken BAND_COLUMNS at a time,
-    so the working copy stays a small slice of the matrix.
+    so the working copy stays a small slice of the matrix.  A LadderChannel
+    gathers each column's logs from the logs of its distinct blocks
+    (LadderChannel.log_columns), with the same values, and leaves out the
+    output levels below `cut`, where every column of the chunk is zero:
+    they enter the sum as the zeros they are, in the same places, so the
+    row sums and the values are the dense ones bit for bit.
     """
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
     if ks.size and not (0 <= ks.min() and ks.max() < channel.n_battery):
         bad = ks[(ks < 0) | (ks >= channel.n_battery)][0]
         raise IndexOutOfRange(f"battery level {bad} outside 0..{channel.n_battery - 1}")
     d_out, nb, d_in = channel.d_out, channel.n_battery, channel.d_in
-    by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
+    if isinstance(channel, LadderChannel):
+        log_columns = channel.log_columns
+    else:
+        by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
+
+        def log_columns(chunk):
+            r = by_column[chunk]  # a contiguous copy, one column per row
+            return 0, np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
+
     eps = channel.battery.array
     beta = channel.beta
     # The energy terms as rows over (k', s), so each add runs along a whole
@@ -61,17 +74,20 @@ def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
     out = np.empty(len(ks))
     for lo in range(0, len(ks), BAND_COLUMNS):
         chunk = ks[lo : lo + BAND_COLUMNS]
-        r = by_column[chunk]  # a contiguous copy, one column per row
+        cut, terms = log_columns(chunk)  # output levels from `cut` up
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
-            blocks = terms.reshape(len(chunk), d_out, nb * d_in)
-            blocks += np.repeat(beta * (eps[None, :] - eps[chunk, None]), d_in, axis=1)[:, None, :]
-            blocks -= sys_term
+            blocks = terms.reshape(len(chunk), d_out, (nb - cut) * d_in)
+            blocks += np.repeat(beta * (eps[None, cut:] - eps[chunk, None]), d_in, axis=1)[:, None, :]
+            blocks -= sys_term[cut * d_in :]
             rows = terms.reshape(len(chunk), -1)
             top = rows.max(axis=1)
             finite = np.isfinite(top)
             rows -= np.where(finite, top, 0.0)[:, None]
             np.exp(rows, out=rows)
+            if cut:
+                whole = np.zeros((len(chunk), d_out, nb, d_in))
+                whole[:, :, cut:] = terms
+                rows = whole.reshape(len(chunk), -1)
             log_sum = np.where(finite, top + np.log(rows.sum(axis=1)), top)
         out[lo : lo + len(chunk)] = np.exp(log_sum)
     return out

@@ -8,12 +8,18 @@ Gibbs weight vectors (fixed-point condition), which is the channel-level
 form of Gibbs-stochasticity.
 
 A wit operation (`WitSubchannels`) is valid by construction, and its
-two-level channel is the N = 1 `LadderChannel`.
+two-level channel is the N = 1 `LadderChannel`.  A `LadderChannel` keeps
+the O(N) distinct blocks of the completed ladder and builds its dense
+matrix only on demand: `validate`, `apply` and `extract_subchannels` (and
+the work and bound kernels elsewhere) each take one branch at their top
+to a body that reads the blocks, while their dense bodies serve every
+other channel, such as one read from a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,31 +121,40 @@ def validate(
     stoch_tol: float = STOCHASTIC_TOL,
     gibbs_tol: float = GIBBS_TOL,
 ) -> ValidationReport:
-    """Check trace preservation per column and the Gibbs condition per row."""
-    m = channel.matrix
-    col_res = np.abs(m.sum(axis=0) - 1.0)
+    """Check trace preservation per column and the Gibbs condition per row.
 
-    lw_in = -channel.beta * channel.joint_in_spectrum().array
-    lw_out = -channel.beta * channel.joint_out_spectrum().array
-    # Gibbs condition row i: sum_j r_ij e^{-beta E_j} = e^{-beta E_i}, as a
-    # log-sum-exp of every row at once, worked in place on the log matrix.
-    # Each row is summed along the contiguous last axis, the same pairwise
-    # sum as spectra.logsumexp on that row.  An all-zero row has residual 1.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
-        a += lw_in
-        top = a.max(axis=1)
-        finite = np.isfinite(top)
-        a -= np.where(finite, top, 0.0)[:, None]
-        np.exp(a, out=a)
-        s = top + np.log(a.sum(axis=1))
-        row_res = np.where(finite, np.abs(np.expm1(s - lw_out)), 1.0)
+    A LadderChannel is checked from its blocks (LadderChannel.residuals);
+    its entries are those of the stored blocks, and zero for N >= 2.
+    """
+    if isinstance(channel, LadderChannel):
+        col_res, row_res = channel.residuals()
+        entries = channel.block_stack if channel.num_quanta > 1 else channel.block_stack[:-1]
+    else:
+        m = entries = channel.matrix
+        col_res = np.abs(m.sum(axis=0) - 1.0)
 
+        lw_in = -channel.beta * channel.joint_in_spectrum().array
+        lw_out = -channel.beta * channel.joint_out_spectrum().array
+        # Gibbs condition row i: sum_j r_ij e^{-beta E_j} = e^{-beta E_i}, as a
+        # log-sum-exp of every row at once, worked in place on the log matrix.
+        # Each row is summed along the contiguous last axis, the same pairwise
+        # sum as spectra.logsumexp on that row.  An all-zero row has residual 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
+            a += lw_in
+            top = a.max(axis=1)
+            finite = np.isfinite(top)
+            a -= np.where(finite, top, 0.0)[:, None]
+            np.exp(a, out=a)
+            s = top + np.log(a.sum(axis=1))
+            row_res = np.where(finite, np.abs(np.expm1(s - lw_out)), 1.0)
+
+    entry_min, entry_max = float(entries.min()), float(entries.max())
     ok = bool(
         float(col_res.max()) <= stoch_tol
         and float(row_res.max()) <= gibbs_tol
-        and m.min() >= -1e-15
-        and m.max() <= 1.0 + 1e-12
+        and entry_min >= -1e-15
+        and entry_max <= 1.0 + 1e-12
     )
     return ValidationReport(
         ok=ok,
@@ -147,8 +162,8 @@ def validate(
         max_gibbs_residual=float(row_res.max()),
         column_residuals=col_res,
         row_residuals=row_res,
-        entry_min=float(m.min()),
-        entry_max=float(m.max()),
+        entry_min=entry_min,
+        entry_max=entry_max,
         stoch_tol=stoch_tol,
         gibbs_tol=gibbs_tol,
     )
@@ -160,7 +175,10 @@ def apply(
     bat: DiagonalState | None = None,
     joint: DiagonalState | None = None,
 ) -> DiagonalState:
-    """Push a product state (or an already-joint distribution) through the channel."""
+    """Push a product state (or an already-joint distribution) through the channel.
+
+    A LadderChannel runs its block recursion (LadderChannel.apply_to).
+    """
     if joint is None:
         if sys is None or bat is None:
             raise DomainError("provide either (sys, bat) or joint")
@@ -168,10 +186,10 @@ def apply(
             raise DimensionMismatch("input state dimensions do not match the channel")
         vec = np.kron(sys.probs, bat.probs)
     else:
-        if len(joint.probs) != channel.matrix.shape[1]:
+        if len(joint.probs) != channel.d_in * channel.n_battery:
             raise DimensionMismatch("joint input dimension does not match the channel")
         vec = joint.probs
-    out = channel.matrix @ vec
+    out = channel.apply_to(vec) if isinstance(channel, LadderChannel) else channel.matrix @ vec
     # No renormalization: the state validator enforces the 1e-12 budget, so
     # a channel that leaks probability fails loudly here.
     return DiagonalState(probs=out, spectrum=channel.joint_out_spectrum())
@@ -307,6 +325,8 @@ def extract_subchannels(channel: ThermalChannel, k: int, k_prime: int) -> np.nda
     nb = channel.n_battery
     if not (0 <= k < nb and 0 <= k_prime < nb):
         raise IndexOutOfRange(f"battery indices ({k}, {k_prime}) outside 0..{nb - 1}")
+    if isinstance(channel, LadderChannel):
+        return channel.block_stack[channel.block_ids(k, k_prime)].copy()
     return channel.blocks()[:, k_prime, :, k].copy()
 
 
@@ -437,16 +457,40 @@ def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
     return EnergySpectrum(levels=(0.0,) * (num_quanta + 1), label="oscillator")
 
 
-@dataclass(frozen=True, init=False)
+def _linear_scan(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v[0] = z[0] and v[k] = m v[k-1] + z[k], for the rows of z.
+
+    Doubles the reach of every partial sum per step, v[k] += m^s v[k-s] for
+    s = 1, 2, 4, ..., so the Python loop takes log2(len(z)) whole-array steps.
+    """
+    v = np.array(z, dtype=float)
+    power, shift = m, 1
+    while shift < len(v):
+        v[shift:] += v[:-shift] @ power.T
+        power, shift = power @ power, 2 * shift
+    return v
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class LadderChannel(ThermalChannel):
     """The completed (N+1)-level ladder extension of a wit operation.
 
     Built only from the wit blocks `sub` and an integer N = `num_quanta` >= 1
     (see construction.py for the block layout); N = 1 is the wit channel
-    itself.  Every interior band is filled from one shared block array, so
-    translation invariance above the vacuum and below the top row holds
-    exactly, and `check_eti` does not scan that window.  The matrix is
-    read-only, and a foreign matrix cannot be attached: positional
+    itself.  The channel is its O(N) distinct d x d blocks, `block_stack`:
+
+      r00 r01^i (i < N), r01^N, r00 r01^i r11 (i < N-1), r01^j r11 (0 < j < N),
+      r10, r11, and a zero block,
+
+    at the indices `block_ids` gives each (k -> k') pair.  Every kernel in
+    the package reads a LadderChannel from these blocks, in O(N d^2) time
+    and memory, except the conditional band (O(N^2) gathers, bit-identical
+    to the dense one) and the scanned ETI windows.  `matrix` is assembled
+    band by band only when first read, then kept read-only; it is
+    byte-identical to the earlier eager assembly.  Every interior band is
+    filled from one stored block, so translation invariance above the
+    vacuum and below the top row holds exactly, and `check_eti` does not
+    scan that window.  A foreign matrix cannot be attached: positional
     construction from a matrix and `dataclasses.replace` raise TypeError.
     """
 
@@ -459,45 +503,132 @@ class LadderChannel(ThermalChannel):
         if not isinstance(num_quanta, (int, np.integer)) or num_quanta < 1:
             raise DomainError(f"num_quanta must be an integer >= 1, got {num_quanta!r}")
         d, n = sub.dim, num_quanta
-        nb = n + 1
 
-        # Shared block arrays keep repeated blocks bit-identical across columns.
+        # Sequential products, so that a block shared by many pairs is one array.
         powers = [np.eye(d)]
         for _ in range(n):
             powers.append(powers[-1] @ sub.r01)
-        a_blocks = [sub.r00 @ powers[i] for i in range(n)]       # r00 r01^i
-        c_blocks = [a_blocks[i] @ sub.r11 for i in range(n)]     # r00 r01^i r11
-        t_blocks = [powers[j] @ sub.r11 for j in range(nb)]      # r01^j r11
-
-        # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
-        # (k', k) and takes a stack of d x d blocks, one per pair.
-        r4 = np.zeros((d, nb, d, nb))
-        levels = np.arange(nb)
-        r4[:, levels[:n], :, 0] = np.array(a_blocks)
-        r4[:, n, :, 0] = powers[n]
-        r4[:, levels[:n], :, levels[1:]] = sub.r10
-        for i in range(n - 1):
-            ks = levels[1 : n - i]
-            r4[:, ks + i, :, ks] = c_blocks[i]
-        ks = levels[1:n]
-        r4[:, n, :, ks] = np.array(t_blocks)[n - ks]
-        r4[:, n, :, n] = sub.r11
-
-        matrix = r4.reshape(d * nb, d * nb)
-        matrix.setflags(write=False)
+        a_blocks = [sub.r00 @ powers[i] for i in range(n)]      # r00 r01^i
+        c_blocks = [a_blocks[i] @ sub.r11 for i in range(n - 1)]  # r00 r01^i r11
+        t_blocks = [powers[j] @ sub.r11 for j in range(1, n)]     # r01^j r11
+        stack = np.array([*a_blocks, powers[n], *c_blocks, *t_blocks, sub.r10, sub.r11, np.zeros((d, d))])
+        stack.setflags(write=False)
         fields = {
-            "matrix": matrix,
             "sys_in": sub.system,
             "sys_out": sub.system,
             "battery": ladder_spectrum(n, sub.delta),
             "beta": sub.beta,
             "sub": sub,
             "num_quanta": n,
+            "block_stack": stack,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        self.__post_init__()
 
     def __reduce__(self):
-        # Copies and pickles rebuild the matrix from the blocks.
+        # Copies and pickles rebuild the blocks from the wit operation.
         return LadderChannel, (self.sub, self.num_quanta)
+
+    def __repr__(self) -> str:
+        # The dataclass repr would print, and so build, the dense matrix.
+        sub = self.sub
+        return f"LadderChannel(num_quanta={self.num_quanta}, d={sub.dim}, delta={sub.delta!r}, beta={sub.beta!r})"
+
+    def block_ids(self, ks, kps) -> np.ndarray:
+        """Index into `block_stack` of the k -> k' block, for broadcast integer arrays k, k'."""
+        n = self.num_quanta
+        ks, kps = np.broadcast_arrays(np.asarray(ks, dtype=np.intp), np.asarray(kps, dtype=np.intp))
+        r10, r11, zero = 3 * n - 1, 3 * n, 3 * n + 1
+        return np.select(
+            [ks == 0, kps == ks - 1, (ks <= kps) & (kps < n), (kps == n) & (ks < n), kps == n],
+            [kps, r10, n + 1 + kps - ks, 3 * n - 1 - ks, r11],
+            default=zero,
+        )
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (d(N+1))^2 matrix, assembled band by band on first use."""
+        d, n, stack = self.d_in, self.num_quanta, self.block_stack
+        nb = n + 1
+        # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
+        # (k', k) and takes a stack of d x d blocks, one per pair.
+        r4 = np.zeros((d, nb, d, nb))
+        levels = np.arange(nb)
+        r4[:, levels[:n], :, 0] = stack[:n]
+        r4[:, n, :, 0] = stack[n]
+        r4[:, levels[:n], :, levels[1:]] = self.sub.r10
+        for i in range(n - 1):
+            ks = levels[1 : n - i]
+            r4[:, ks + i, :, ks] = stack[n + 1 + i]
+        ks = levels[1:n]
+        r4[:, n, :, ks] = stack[3 * n - 1 - ks]
+        r4[:, n, :, n] = self.sub.r11
+        matrix = r4.reshape(d * nb, d * nb)
+        matrix.setflags(write=False)
+        return matrix
+
+    def apply_to(self, p: np.ndarray) -> np.ndarray:
+        """R p for a joint input vector p, from the block recursion.
+
+        With p_k the system vector at battery level k, v_0 = p_0 and
+        v_k = r01 v_{k-1} + r11 p_k, output level k' < N is
+        r00 v_k' + r10 p_{k'+1} and output level N is v_N.
+        """
+        sub, n = self.sub, self.num_quanta
+        p = p.reshape(self.d_in, n + 1)
+        z = (sub.r11 @ p).T
+        z[0] = p[:, 0]
+        v = _linear_scan(sub.r01, z)
+        out = np.empty_like(v)
+        out[:n] = v[:n] @ sub.r00.T + p[:, 1:].T @ sub.r10.T
+        out[n] = v[n]
+        return out.T.ravel()
+
+    def residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(column residuals, Gibbs row residuals), in joint index order, from the blocks.
+
+        Column k sums the column sums of its blocks, with a prefix sum over
+        the r00 r01^i r11 band.  The rows run apply_to's recursion on the
+        Gibbs input g e^{-beta delta k}, with level k scaled by
+        e^{beta delta k}: u_0 = g, u_k = e^{beta delta} r01 u_{k-1} + r11 g.
+        Output level k' < N then receives r00 u_k' + e^{-beta delta} r10 g,
+        and level N receives u_N, against the scaled Gibbs weight g.  The
+        scaled vectors stay near g, so nothing underflows at large k.
+        """
+        sub, n, stack = self.sub, self.num_quanta, self.block_stack
+        sums = stack.sum(axis=1)  # 1^T of every block
+        cols = np.empty((n + 1, sub.dim))
+        cols[0] = sums[: n + 1].sum(axis=0)
+        band = np.cumsum(np.concatenate((np.zeros((1, sub.dim)), sums[n + 1 : 2 * n])), axis=0)
+        ks = np.arange(1, n)
+        cols[1:n] = sums[3 * n - 1] + band[n - ks] + sums[3 * n - 1 - ks]
+        cols[n] = sums[3 * n - 1] + sums[3 * n]
+
+        g = sub.gibbs_vector()
+        bd = sub.beta * sub.delta
+        z = np.empty((n + 1, sub.dim))
+        z[0] = g
+        z[1:] = sub.r11 @ g
+        u = _linear_scan(np.exp(bd) * sub.r01, z)
+        inflow = np.empty_like(u)
+        inflow[:n] = u[:n] @ sub.r00.T + np.exp(-bd) * (sub.r10 @ g)
+        inflow[n] = u[n]
+        return np.abs(cols.T.ravel() - 1.0), np.abs(inflow / g - 1.0).T.ravel()
+
+    def log_columns(self, ks: np.ndarray) -> tuple[int, np.ndarray]:
+        """(lo, logs): log r(s'k'|sk) for each column k in `ks` and each k' >= lo.
+
+        Every column k has zeros below k' = k - 1, so lo = max(min(ks) - 1, 0)
+        cuts only zeros.  `logs` is shaped [k, s', k' - lo, s], -inf where
+        r = 0, gathered from the logs of the distinct blocks, so each entry is
+        the log of the dense matrix's entry.
+        """
+        lo = max(int(ks.min()) - 1, 0)
+        ids = self.block_ids(ks[:, None], np.arange(lo, self.n_battery)[None, :])
+        return lo, np.ascontiguousarray(self._log_blocks[ids].transpose(0, 2, 1, 3))
+
+    @cached_property
+    def _log_blocks(self) -> np.ndarray:
+        """log of `block_stack`, -inf at zero entries."""
+        stack = self.block_stack
+        return np.log(stack, out=np.full_like(stack, -np.inf), where=stack > 0)

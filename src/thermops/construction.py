@@ -14,25 +14,18 @@ its validity as given and do not check it again.
 The top-level completion makes the finite map exactly trace- and
 Gibbs-preserving; translation symmetry then holds on the interior band
 above the vacuum (threshold level 1) but necessarily breaks at the top
-row, the mirror image of the vacuum.  `extend_to_oscillator` returns a
-`LadderChannel`, which is built only from the four blocks and N and fills
-each interior band from one shared block array, so that interior
-invariance holds by construction and `check_eti` does not re-scan it; the
-dense scan serves every other window and every other channel.
+row, the mirror image of the vacuum.  The map is fully described by O(N)
+distinct d x d blocks: r00 r01^i, r01^N, r00 r01^i r11, r01^j r11, r10 and
+r11.  `extend_to_oscillator` returns a `LadderChannel`, which keeps just
+these blocks, built from the four wit blocks and N; its validation,
+application, work statistics, audits and conditional averages read them,
+and its dense matrix is assembled only when read.  Each interior band is
+one stored block, so interior invariance holds by construction and
+`check_eti` does not re-scan it; the dense scan serves every other window
+and every other channel.
 
-Work on the ladder is (k' - k) delta with k' - k in {-1, 0, ..., N}, so for
-a product input x (x) b the work distribution is N + 2 masses.  With
-c = 1^T r00, S(m) = b_1 + ... + b_m and S(0) = 0, the mass at offset j is
-
-  j = -1:          (1^T r10 x) S(N)
-  0 <= j < N:      b_0 c r01^j x + S(N-1-j) c r01^j r11 x + b_{N-j} 1^T r01^j r11 x
-  j = N:           b_0 1^T r01^N x
-
-The three terms of the middle line come from column 0, from the interior
-columns 1..N-1-j, and from the top-row completion of column N-j (for
-j = 0 that is the r11 block of column N).  `ladder_work_distribution`
-evaluates these from the vector recursions r01^j x and r01^j r11 x in
-O(N d^2) time, without forming the (d(N+1))^2 matrix.
+The ladder's work distribution comes straight from the blocks
+(`batteries.ladder_work_distribution`).
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batteries import WorkDistribution
 from .channels import (
     ETIReport,
     LadderChannel,
@@ -57,73 +49,22 @@ from .feasibility import formation_feasible_at, formation_gap_from_equilibrium
 from .spectra import DiagonalState
 
 TAIL_TOL = 1e-12
-# Largest automatic battery size `thermops construct` writes as a dense
-# channel (a 128 MB matrix at d = 2); the matrix-free paths have no limit.
+# Largest automatic battery size `thermops construct` accepts: it writes the
+# ladder's dense matrix, 128 MB at d = 2.  A LadderChannel assembles that
+# matrix only when it is read; every other ladder kernel works from the O(N)
+# blocks and has no size limit.
 MAX_BATTERY_SIZE = 2000
 # Spectral radius of r01 at or above 1 - SERIES_MARGIN counts as divergent.
 SERIES_MARGIN = 1e-10
 
 
-def _require_ladder(num_quanta: int) -> None:
+def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> LadderChannel:
+    """Build the completed (N+1)-level extension of a wit operation."""
     if num_quanta < 2:
         raise DomainError(
             f"extension needs at least a 3-level battery (num_quanta >= 2), got {num_quanta}"
         )
-
-
-def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> LadderChannel:
-    """Build the completed (N+1)-level extension of a wit operation."""
-    _require_ladder(num_quanta)
     return LadderChannel(sub, num_quanta)
-
-
-def _power_orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    """m^j v for j = 0..count-1, stacked along a new first axis.
-
-    Works in blocks of about sqrt(count) steps with one batched product per
-    block, so the Python loops take O(sqrt(count)) steps, not count.
-    """
-    block = max(1, int(np.sqrt(count)))
-    powers = np.empty((block, *m.shape))
-    powers[0] = np.eye(len(m))
-    for j in range(1, block):
-        powers[j] = m @ powers[j - 1]
-    out = np.empty((count, *v.shape))
-    for i in range(0, count, block):
-        chunk = powers[: count - i] @ v
-        out[i : i + len(chunk)] = chunk
-        v = m @ chunk[-1]
-    return out
-
-
-def ladder_work_distribution(
-    sub: WitSubchannels, num_quanta: int, sys: DiagonalState, bat: DiagonalState
-) -> WorkDistribution:
-    """Work distribution of the completed ladder extension, straight from the wit blocks.
-
-    Equals work_distribution(extend_to_oscillator(sub, num_quanta), sys, bat)
-    up to the order of summation, in O(N d^2) time and O(N d) memory; the
-    offset masses are the sums in the module docstring.
-    """
-    _require_ladder(num_quanta)
-    n = num_quanta
-    if len(sys.spectrum) != sub.dim or len(bat.spectrum) != n + 1:
-        raise DimensionMismatch("state dimensions do not match the ladder extension")
-    x, b = sys.probs, bat.probs
-
-    # Row j of `krylov` holds (r01^j x, r01^j r11 x) side by side.
-    krylov = _power_orbit(sub.r01, np.column_stack((x, sub.r11 @ x)), n + 1)
-    c = sub.r00.sum(axis=0)
-    from_vacuum = krylov[:n, :, 0] @ c
-    series = krylov[:n, :, 1] @ c
-    top = krylov[:n, :, 1].sum(axis=1)
-    above = np.concatenate(([0.0], np.cumsum(b[1:])))  # above[m] = S(m)
-
-    masses = np.empty(n + 2)
-    masses[0] = (sub.r10 @ x).sum() * above[n]
-    masses[1:-1] = b[0] * from_vacuum + above[n - 1::-1] * series + b[n:0:-1] * top
-    masses[-1] = b[0] * krylov[n, :, 0].sum()
-    return WorkDistribution(support=sub.delta * np.arange(-1, n + 1), probs=masses)
 
 
 def truncation_tail(sub: WitSubchannels, num_quanta: int) -> float:
@@ -200,6 +141,9 @@ def verify_extension(channel: ThermalChannel, sub: WitSubchannels | None = None)
 
     The interior band excludes the top battery row, where the completed
     map mirrors the vacuum and translation symmetry necessarily breaks.
+    On a LadderChannel every audit reads the blocks: validate's block
+    formulas, the unscanned interior window, and drop blocks that are all
+    the stored r10.
     The truncation tail comes from `sub`; a LadderChannel supplies its own
     blocks, and a `sub` passed with it must equal them.  On any other
     channel, `sub.r00`, `sub.r10` and `sub.r11` must equal the channel's
@@ -211,27 +155,29 @@ def verify_extension(channel: ThermalChannel, sub: WitSubchannels | None = None)
         if sub is not None and not _same_operation(sub, channel.sub):
             raise DomainError("sub differs from the wit operation the ladder channel was built from")
         sub = channel.sub
-    elif sub is not None:
-        if sub.dim != channel.d_in:
-            raise DimensionMismatch(
-                f"subchannels of dimension {sub.dim} for a channel with d_in = {channel.d_in}"
-            )
-        for name, k, k_prime in (("r00", 0, 0), ("r10", 1, 0), ("r11", n, n)):
-            if not np.array_equal(getattr(sub, name), extract_subchannels(channel, k, k_prime)):
-                raise DomainError(
-                    f"sub.{name} differs from the channel's ({k} -> {k_prime}) block"
+        # Every k -> k-1 block of a ladder is the one stored r10.
+        blocks_ok, worst, first_bad = True, 0.0, None
+    else:
+        if sub is not None:
+            if sub.dim != channel.d_in:
+                raise DimensionMismatch(
+                    f"subchannels of dimension {sub.dim} for a channel with d_in = {channel.d_in}"
                 )
+            for name, k, k_prime in (("r00", 0, 0), ("r10", 1, 0), ("r11", n, n)):
+                if not np.array_equal(getattr(sub, name), extract_subchannels(channel, k, k_prime)):
+                    raise DomainError(
+                        f"sub.{name} differs from the channel's ({k} -> {k_prime}) block"
+                    )
+        ref = extract_subchannels(channel, 1, 0)
+        ks = np.arange(1, n + 1)
+        drops = channel.blocks()[:, ks - 1, :, ks]  # the k -> k-1 block of every level
+        bad = np.flatnonzero(~(drops == ref).all(axis=(1, 2)))
+        deviation = np.abs(drops[bad] - ref).max(axis=(1, 2))
+        blocks_ok = bad.size == 0
+        worst = float(np.fmax.reduce(deviation, initial=0.0))  # fmax skips NaN, as max() did
+        first_bad = int(ks[bad[0]]) if bad.size else None
     report = validate(channel)
     eti = check_eti(channel, k_min=1, row_max=n - 1, col_max=n - 1)
-
-    ref = extract_subchannels(channel, 1, 0)
-    ks = np.arange(1, n + 1)
-    drops = channel.blocks()[:, ks - 1, :, ks]  # the k -> k-1 block of every level
-    bad = np.flatnonzero(~(drops == ref).all(axis=(1, 2)))
-    deviation = np.abs(drops[bad] - ref).max(axis=(1, 2))
-    blocks_ok = bad.size == 0
-    worst = float(np.fmax.reduce(deviation, initial=0.0))  # fmax skips NaN, as max() did
-    first_bad = int(ks[bad[0]]) if bad.size else None
     tail = truncation_tail(sub, n) if sub is not None else None
     return ExtensionReport(
         validation=report,

@@ -14,13 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batteries import CostFunction, WorkDistribution, average_work, general_cost, variance
-from .channels import WitSubchannels, ladder_spectrum
-from .construction import (
-    auto_battery_size,
+from .batteries import (
+    CostFunction,
+    WorkDistribution,
+    average_work,
+    general_cost,
     ladder_work_distribution,
-    truncation_tail,
+    variance,
 )
+from .channels import WitSubchannels, ladder_spectrum
+from .construction import auto_battery_size, truncation_tail
 from .errors import DomainError, PoleError
 from .spectra import DiagonalState, EnergySpectrum, binary_entropy
 
@@ -169,6 +172,8 @@ def _erasure_ladder_work(
     sub = oscillator_erasure_subchannels(eps, beta)
     if num_quanta is None:
         num_quanta = auto_battery_size(sub)
+    elif num_quanta < 2:
+        raise DomainError(f"the erasure ladder needs num_quanta >= 2, got {num_quanta}")
     sys = DiagonalState(np.full(2, 0.5), sub.system)
     bat = erasure_battery_state(gamma, ladder_spectrum(num_quanta, sub.delta))
     return sub, num_quanta, ladder_work_distribution(sub, num_quanta, sys, bat)

@@ -88,7 +88,9 @@ def _residual_channels():
     yield "random mixes", random_gibbs_stochastic(small_sys(), ladder(9), 1.3, seed=4, num_mixes=60)
     for trial in range(4):
         sub = random_wit_subchannels(2, trial)
-        yield f"ladder d={sub.dim}", extend_to_oscillator(sub, 40)
+        ch = extend_to_oscillator(sub, 40)
+        # The dense kernel on the ladder's matrix; the block formulas are compared in TestLadderKernels.
+        yield f"ladder d={sub.dim}", ThermalChannel(ch.matrix, ch.sys_in, ch.sys_out, ch.battery, ch.beta)
 
 
 class TestValidateResiduals:

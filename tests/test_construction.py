@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from thermops.batteries import average_work, work_distribution
+from thermops.batteries import average_work, ladder_work_distribution, work_distribution
 from thermops.channels import (
     ThermalChannel,
     WitSubchannels,
@@ -18,7 +18,6 @@ from thermops.construction import (
     closed_form_average_work,
     extend_to_oscillator,
     formation_subchannels,
-    ladder_work_distribution,
     theorem3_deterministic_work,
     truncation_tail,
     verify_extension,
@@ -129,7 +128,8 @@ class TestLadderWorkDistribution:
         rng = np.random.default_rng([dim, n])
         for trial in range(3):
             sub = random_wit(dim, 100 * dim + trial)
-            ch = extend_to_oscillator(sub, n)
+            ladder = extend_to_oscillator(sub, n)
+            ch = ThermalChannel(ladder.matrix, ladder.sys_in, ladder.sys_out, ladder.battery, ladder.beta)
             x = DiagonalState(rng.dirichlet(np.ones(dim)), sub.system)
             batteries = [
                 DiagonalState.pure(0, ch.battery),
@@ -155,9 +155,9 @@ class TestLadderWorkDistribution:
     def test_rejects_short_ladder_and_mismatched_states(self):
         sub = oscillator_erasure_subchannels(0.1)
         x = DiagonalState(np.full(2, 0.5), sub.system)
-        two = EnergySpectrum.oscillator(1, sub.delta)
+        one = EnergySpectrum.trivial(1)
         with pytest.raises(DomainError):
-            ladder_work_distribution(sub, 1, x, DiagonalState.pure(1, two))
+            ladder_work_distribution(sub, 0, x, DiagonalState.pure(0, one))
         ten = EnergySpectrum.oscillator(10, sub.delta)
         with pytest.raises(DimensionMismatch):
             ladder_work_distribution(sub, 8, x, DiagonalState.pure(1, ten))
