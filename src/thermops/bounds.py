@@ -24,70 +24,57 @@ from .errors import DomainError, ETIViolated, IndexOutOfRange, NonUniformBattery
 from .spectra import (
     DiagonalState,
     EnergySpectrum,
+    check_beta,
     free_energy,
-    gibbs_state,
     logsumexp,
     partition_function,
 )
 
 THEOREM_TOL = 1e-10
-# Battery levels per chunk of conditional_jarzynski_band: the working copy
-# holds BAND_COLUMNS columns of the matrix.
+# Battery levels per chunk of conditional_jarzynski_band on a dense channel:
+# the working copy holds BAND_COLUMNS columns of the matrix.
 BAND_COLUMNS = 64
 
 
 def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
     """<e^{beta(w - f_s)}>_k for every battery level k in `ks`, in that order.
 
-    Each level's value is a log-sum-exp over its column's terms
+    A LadderChannel reads every level from its wit blocks in O(N d^2)
+    (LadderChannel.conditional_band).  On any other channel each level's
+    value is a log-sum-exp over its column's terms
     log r(s'k'|sk) + beta (eps_k' - eps_k) - beta E_s, with the exact
     cancellation p(s) e^{-beta f_s} = e^{-beta E_s}, which also covers
     zero-probability levels.  The terms of a column are gathered
     contiguously in (s', k', s) order and summed along that row, as
     spectra.logsumexp sums them.  Columns are taken BAND_COLUMNS at a time,
-    so the working copy stays a small slice of the matrix.  A LadderChannel
-    gathers each column's logs from the logs of its distinct blocks
-    (LadderChannel.log_columns), with the same values, and leaves out the
-    output levels below `cut`, where every column of the chunk is zero:
-    they enter the sum as the zeros they are, in the same places, so the
-    row sums and the values are the dense ones bit for bit.
+    so the working copy stays a small slice of the matrix.
     """
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
     if ks.size and not (0 <= ks.min() and ks.max() < channel.n_battery):
         bad = ks[(ks < 0) | (ks >= channel.n_battery)][0]
         raise IndexOutOfRange(f"battery level {bad} outside 0..{channel.n_battery - 1}")
-    d_out, nb, d_in = channel.d_out, channel.n_battery, channel.d_in
     if isinstance(channel, LadderChannel):
-        log_columns = channel.log_columns
-    else:
-        by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
-
-        def log_columns(chunk):
-            r = by_column[chunk]  # a contiguous copy, one column per row
-            return 0, np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
-
+        return channel.conditional_band()[ks]
+    by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
     eps = channel.battery.array
     beta = channel.beta
     # The energy terms as rows over (k', s), so each add runs along a whole
     # row rather than broadcasting over the d_in-long last axis.
-    sys_term = np.tile(beta * channel.sys_in.array, nb)
+    sys_term = np.tile(beta * channel.sys_in.array, channel.n_battery)
     out = np.empty(len(ks))
     for lo in range(0, len(ks), BAND_COLUMNS):
         chunk = ks[lo : lo + BAND_COLUMNS]
-        cut, terms = log_columns(chunk)  # output levels from `cut` up
+        r = by_column[chunk]  # a contiguous copy, one column per row
         with np.errstate(divide="ignore", invalid="ignore"):
-            blocks = terms.reshape(len(chunk), d_out, (nb - cut) * d_in)
-            blocks += np.repeat(beta * (eps[None, cut:] - eps[chunk, None]), d_in, axis=1)[:, None, :]
-            blocks -= sys_term[cut * d_in :]
+            terms = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
+            blocks = terms.reshape(len(chunk), channel.d_out, -1)
+            blocks += np.repeat(beta * (eps[None, :] - eps[chunk, None]), channel.d_in, axis=1)[:, None, :]
+            blocks -= sys_term
             rows = terms.reshape(len(chunk), -1)
             top = rows.max(axis=1)
             finite = np.isfinite(top)
             rows -= np.where(finite, top, 0.0)[:, None]
             np.exp(rows, out=rows)
-            if cut:
-                whole = np.zeros((len(chunk), d_out, nb, d_in))
-                whole[:, :, cut:] = terms
-                rows = whole.reshape(len(chunk), -1)
             log_sum = np.where(finite, top + np.log(rows.sum(axis=1)), top)
         out[lo : lo + len(chunk)] = np.exp(log_sum)
     return out
@@ -169,17 +156,27 @@ def theorem1_certify(
 
 
 def battery_mean_energy(battery: EnergySpectrum, beta: float) -> float:
-    """Gibbs-average battery energy <E>_beta."""
-    g = gibbs_state(battery, beta)
-    return float(g.probs @ battery.array)
+    """Gibbs-average battery energy <E>_beta, from a log-sum-exp of the weights.
+
+    Unlike gibbs_state, it takes any beta * |E|: a long ladder's top levels
+    only underflow to zero weight.
+    """
+    check_beta(beta)
+    logw = -beta * battery.array
+    p = np.exp(logw - logsumexp(logw))
+    return float((p / p.sum()) @ battery.array)
 
 
 def eta_derivative(battery: EnergySpectrum, beta: float, k: int) -> float:
-    """d/d beta of eta_k = Z_W e^{beta eps_k}, analytically eta_k (eps_k - <E>_beta)."""
+    """d/d beta of eta_k = Z_W e^{beta eps_k}, analytically eta_k (eps_k - <E>_beta).
+
+    Z_W is a log-sum-exp, so a ladder of any length is accepted.
+    """
     if not 0 <= k < len(battery):
         raise IndexOutOfRange(f"battery level {k} outside the spectrum")
+    check_beta(beta)
     eps_k = battery.levels[k]
-    eta_k = partition_function(battery, beta) * np.exp(beta * eps_k)
+    eta_k = np.exp(logsumexp(-beta * battery.array)) * np.exp(beta * eps_k)
     return float(eta_k * (eps_k - battery_mean_energy(battery, beta)))
 
 

@@ -19,6 +19,7 @@ other channel, such as one read from a file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
@@ -482,10 +483,11 @@ class LadderChannel(ThermalChannel):
       r00 r01^i (i < N), r01^N, r00 r01^i r11 (i < N-1), r01^j r11 (0 < j < N),
       r10, r11, and a zero block,
 
-    at the indices `block_ids` gives each (k -> k') pair.  Every kernel in
-    the package reads a LadderChannel from these blocks, in O(N d^2) time
-    and memory, except the conditional band (O(N^2) gathers, bit-identical
-    to the dense one) and the scanned ETI windows.  `matrix` is assembled
+    at the indices `block_ids` gives each (k -> k') pair; the r01 powers are
+    a sequential chain and every other family one batched product over
+    them.  Every kernel in the package reads a LadderChannel from these
+    blocks or from the wit blocks, in O(N d^2) time and memory, except the
+    scanned ETI windows.  `matrix` is assembled
     band by band only when first read, then kept read-only; it is
     byte-identical to the earlier eager assembly.  Every interior band is
     filled from one stored block, so translation invariance above the
@@ -504,14 +506,18 @@ class LadderChannel(ThermalChannel):
             raise DomainError(f"num_quanta must be an integer >= 1, got {num_quanta!r}")
         d, n = sub.dim, num_quanta
 
-        # Sequential products, so that a block shared by many pairs is one array.
-        powers = [np.eye(d)]
-        for _ in range(n):
-            powers.append(powers[-1] @ sub.r01)
-        a_blocks = [sub.r00 @ powers[i] for i in range(n)]      # r00 r01^i
-        c_blocks = [a_blocks[i] @ sub.r11 for i in range(n - 1)]  # r00 r01^i r11
-        t_blocks = [powers[j] @ sub.r11 for j in range(1, n)]     # r01^j r11
-        stack = np.array([*a_blocks, powers[n], *c_blocks, *t_blocks, sub.r10, sub.r11, np.zeros((d, d))])
+        # The r01 powers are a sequential chain; every other family of blocks
+        # is one batched product over them, the same bits as `@` block by block.
+        powers = np.empty((n + 1, d, d))
+        powers[0] = np.eye(d)
+        for i in range(n):
+            np.matmul(powers[i], sub.r01, out=powers[i + 1])
+        stack = np.empty((3 * n + 2, d, d))
+        np.matmul(sub.r00, powers[:n], out=stack[:n])  # r00 r01^i
+        stack[n] = powers[n]
+        np.matmul(stack[: n - 1], sub.r11, out=stack[n + 1 : 2 * n])  # r00 r01^i r11
+        np.matmul(powers[1:n], sub.r11, out=stack[2 * n : 3 * n - 1])  # r01^j r11
+        stack[3 * n - 1], stack[3 * n], stack[3 * n + 1] = sub.r10, sub.r11, 0.0
         stack.setflags(write=False)
         fields = {
             "sys_in": sub.system,
@@ -615,20 +621,56 @@ class LadderChannel(ThermalChannel):
         inflow[n] = u[n]
         return np.abs(cols.T.ravel() - 1.0), np.abs(inflow / g - 1.0).T.ravel()
 
-    def log_columns(self, ks: np.ndarray) -> tuple[int, np.ndarray]:
-        """(lo, logs): log r(s'k'|sk) for each column k in `ks` and each k' >= lo.
+    def conditional_band(self) -> np.ndarray:
+        """<e^{beta(w - f_s)}>_k for every input level k = 0..N, from the wit blocks.
 
-        Every column k has zeros below k' = k - 1, so lo = max(min(ks) - 1, 0)
-        cuts only zeros.  `logs` is shaped [k, s', k' - lo, s], -inf where
-        r = 0, gathered from the logs of the distinct blocks, so each entry is
-        the log of the dense matrix's entry.
+        With w_s = e^{-beta(E_s - E_min)} and up = e^{beta delta} r01, the
+        chains u_i = up^i r11 w and v_i = up^i w stay below w by the Gibbs
+        pair conditions.  With gamma_i = 1^T r00 u_i and tau_j = 1^T u_j,
+        column k >= 1 is e^{-beta delta} 1^T r10 w + sum_{i < N-k} gamma_i +
+        tau_{N-k}, and column 0 is sum_{i < N} 1^T r00 v_i + 1^T v_N, all
+        times e^{-beta E_min}.  Each chain is one scan and one prefix sum
+        serves every column, O(N d^2) in all.  up is carried as a float
+        plus its rounding error, and the scans carry the first-order effect
+        of that error, so the N-fold products do not compound it.
         """
-        lo = max(int(ks.min()) - 1, 0)
-        ids = self.block_ids(ks[:, None], np.arange(lo, self.n_battery)[None, :])
-        return lo, np.ascontiguousarray(self._log_blocks[ids].transpose(0, 2, 1, 3))
+        sub, n, d = self.sub, self.num_quanta, self.sub.dim
+        levels = sub.system.array
+        e_min = levels.min()
+        w = np.exp(-sub.beta * (levels - e_min))
+        up, up_error = _exp_times(sub.beta, sub.delta, sub.r01)
+        # A row of the scan is (x_i, c_i): x_{i+1} = up x_i and
+        # c_{i+1} = up c_i + up_error x_i, so that x_i + c_i = (up + up_error)^i x_0.
+        step = np.zeros((2 * d, 2 * d))
+        step[:d, :d] = step[d:, d:] = up
+        step[d:, :d] = up_error
+        z = np.zeros((n + 1, 2 * d))
+        z[0, :d] = w
+        v = _linear_scan(step, z)
+        z[0, :d] = sub.r11 @ w
+        u = _linear_scan(step, z[:n])
+        v, u = v[:, :d] + v[:, d:], u[:, :d] + u[:, d:]
+        ones_r00 = sub.r00.sum(axis=0)  # 1^T r00
+        gamma_sums = np.zeros(n)  # gamma_sums[m] = sum_{i < m} gamma_i
+        gamma_sums[1:] = _linear_scan(np.ones((1, 1)), (u[: n - 1] @ ones_r00)[:, None])[:, 0]
+        tau = u.sum(axis=1)
+        m = n - np.arange(1, n + 1)  # N - k for k = 1..N
+        band = np.empty(n + 1)
+        band[0] = (v[:n] @ ones_r00).sum() + v[n].sum()
+        band[1:] = np.exp(-sub.beta * sub.delta) * (sub.r10.sum(axis=0) @ w) + gamma_sums[m] + tau[m]
+        return band * np.exp(-sub.beta * e_min)
 
-    @cached_property
-    def _log_blocks(self) -> np.ndarray:
-        """log of `block_stack`, -inf at zero entries."""
-        stack = self.block_stack
-        return np.log(stack, out=np.full_like(stack, -np.inf), where=stack > 0)
+
+def _exp_times(beta: float, delta: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): hi + lo = e^{beta delta} m, hi its entries rounded to floats.
+
+    The product is taken at 40 digits, with beta delta exact, so a zero
+    entry stays zero however large beta delta is.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        factor = (Decimal(beta) * Decimal(delta)).exp()
+        exact = [factor * Decimal(x) for x in m.flat]
+        hi = [float(x) for x in exact]
+        lo = [float(x - Decimal(h)) for x, h in zip(exact, hi)]
+    return np.reshape(hi, m.shape), np.reshape(lo, m.shape)

@@ -8,11 +8,13 @@ them, in the standard library's `decimal` at 50 significant digits:
 - the output system marginal of R (x (x) b),
 - Delta F = F(output system) - F(x), with F = <E> - S / beta,
 - the theorem-2 terms A, B_main, B_appendix and the slack, as bounds.py
-  defines them.
+  defines them,
+- the theorem-1 conditional band <e^{beta(w - f_s)}>_k of every column k.
 
 Each block-vector product is taken entry by entry from the layout in
 construction.py's docstring, with the vector recursions r01^i x and
-r01^i r11 x; no package kernel is used.  `relative_error` is the error
+r01^i r11 x; the band instead forms every distinct block of that layout as
+a matrix and sums its entries.  No package kernel is used.  `relative_error` is the error
 measure the tests and the change log use.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 
 DIGITS = 50
+FOUR_ULP = 8.9e-16  # four units in the last place at scale 1
 
 
 def exact(value) -> Decimal:
@@ -132,3 +135,45 @@ def theorem2_statistics(sub, num_quanta: int, x, b, k_min: int = 1) -> dict:
             slack=(-stats["delta_F"] + a_term + b_appendix) - stats["avg_work"],
         )
     return stats
+
+
+def _matmul(a, b):
+    return [[sum((a[i][j] * b[j][c] for j in range(len(b))), Decimal(0)) for c in range(len(b[0]))] for i in range(len(a))]
+
+
+def conditional_band(sub, num_quanta: int) -> list:
+    """Exact <e^{beta(w - f_s)}>_k for k = 0..N: the sum over column k's entries
+    r(s'k'|sk) e^{beta (k' - k) delta} e^{-beta E_s}.
+
+    The blocks are the matrices of construction.py's layout (r00 r01^i,
+    r01^N, r10, r00 r01^i r11, r01^j r11, r11), each multiplied out at 50
+    digits.  A block's weighted entry sum is taken once and reused in every
+    column that holds the block.
+    """
+    n = num_quanta
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        blocks = {name: [[exact(v) for v in row] for row in getattr(sub, name)] for name in ("r00", "r01", "r10", "r11")}
+        beta_delta = exact(sub.beta) * exact(sub.delta)
+        g = [(-exact(sub.beta) * exact(e)).exp() for e in sub.system.levels]
+        d = len(g)
+
+        def weighted(block):
+            return sum((block[s_out][s] * g[s] for s_out in range(d) for s in range(d)), Decimal(0))
+
+        powers = [[[Decimal(int(i == j)) for j in range(d)] for i in range(d)]]  # r01^i
+        for _ in range(n):
+            powers.append(_matmul(powers[-1], blocks["r01"]))
+        a = [weighted(_matmul(blocks["r00"], p)) for p in powers[:n]]  # r00 r01^i
+        c = [weighted(_matmul(_matmul(blocks["r00"], p), blocks["r11"])) for p in powers[: n - 1]]  # r00 r01^i r11
+        t = [weighted(_matmul(p, blocks["r11"])) for p in powers]  # r01^j r11
+        r10 = weighted(blocks["r10"])
+        factor = {j: (beta_delta * j).exp() for j in range(-1, n + 1)}  # e^{beta delta (k' - k)}
+
+        def column(k):
+            """(k' - k, weighted entry sum) for the nonzero blocks of column k."""
+            if k == 0:
+                return [(i, a[i]) for i in range(n)] + [(n, weighted(powers[n]))]
+            return [(-1, r10)] + [(i, c[i]) for i in range(n - k)] + [(n - k, t[n - k])]
+
+        return [sum((factor[j] * v for j, v in column(k)), Decimal(0)) for k in range(n + 1)]

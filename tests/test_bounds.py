@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from referee import FOUR_ULP, relative_error
+from referee import conditional_band as referee_band
 
 from thermops.bounds import (
     BAND_COLUMNS,
@@ -14,7 +16,7 @@ from thermops.bounds import (
     theorem1_certify,
     theorem2_bound,
 )
-from thermops.channels import ThermalChannel, identity_channel, random_gibbs_stochastic
+from thermops.channels import LadderChannel, ThermalChannel, identity_channel, random_gibbs_stochastic
 from thermops.construction import extend_to_oscillator
 from thermops.errors import DomainError, ETIViolated, IndexOutOfRange
 from thermops.experiments import (
@@ -118,8 +120,15 @@ class TestConditionalBand:
         ks = np.arange(channel.n_battery)
         band = conditional_jarzynski_band(channel, ks)
         state = gibbs_state(channel.sys_in, channel.beta)
-        assert_array_equal(band, [per_column_log_sum_exp(channel, k) for k in ks])
         assert_array_equal(band, [conditional_jarzynski(channel, state, k) for k in ks])
+        per_column = [per_column_log_sum_exp(channel, k) for k in ks]
+        if isinstance(channel, LadderChannel):
+            # A ladder's band comes from its wit blocks, so the 50-digit sum pins it.
+            assert_allclose(band, per_column, rtol=1e-12, atol=0)
+            exact = referee_band(channel.sub, channel.num_quanta)
+            assert max(relative_error(a, b) for a, b in zip(band, exact)) <= FOUR_ULP
+        else:
+            assert_array_equal(band, per_column)
 
     @pytest.mark.parametrize("name, channel", list(_band_channels()))
     def test_matches_brute_force_oracle(self, name, channel):
@@ -131,10 +140,8 @@ class TestConditionalBand:
     def test_levels_in_any_order(self):
         _, channel = next(_band_channels())
         ks = np.array([5, 0, 5, channel.n_battery - 1, 2])
-        assert_array_equal(
-            conditional_jarzynski_band(channel, ks),
-            [per_column_log_sum_exp(channel, k) for k in ks],
-        )
+        every = conditional_jarzynski_band(channel, np.arange(channel.n_battery))
+        assert_array_equal(conditional_jarzynski_band(channel, ks), every[ks])
         assert conditional_jarzynski_band(channel, []).shape == (0,)
 
     def test_level_out_of_range(self):
@@ -148,7 +155,7 @@ class TestConditionalBand:
         p = rng.dirichlet(np.ones(channel.n_battery)) * (rng.uniform(size=channel.n_battery) < 0.5)
         bat = DiagonalState(p / p.sum(), channel.battery)
         state = gibbs_state(channel.sys_in, channel.beta)
-        want = sum(q * per_column_log_sum_exp(channel, k) for k, q in enumerate(bat.probs) if q > 0)
+        want = sum(q * conditional_jarzynski(channel, state, k) for k, q in enumerate(bat.probs) if q > 0)
         assert jarzynski_average(channel, state, bat) == want
 
 

@@ -139,6 +139,10 @@ class TestCli:
         csv_b = (b / "certify_thm1.csv").read_bytes()
         assert csv_a == csv_b
 
+    def test_certify_thm2_on_a_long_ladder(self, tmp_path):
+        # beta * N * delta is far above 700 here, so the battery's Gibbs terms must stay in log space.
+        assert main(["run", "certify-thm2", "--num-quanta", "1000", "--trials", "3", "--out", str(tmp_path / "o")]) == 0
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key = 3\n")

@@ -3,16 +3,14 @@
 from decimal import Decimal, localcontext
 
 import numpy as np
-from referee import ladder_statistics, relative_error, theorem2_statistics
+from referee import FOUR_ULP, conditional_band, ladder_statistics, relative_error, theorem2_statistics
 
 from thermops.batteries import average_work, variance, work_distribution
 from thermops.bounds import theorem2_bound
-from thermops.channels import WitSubchannels, apply, random_gibbs_stochastic, sys_marginal
+from thermops.channels import LadderChannel, WitSubchannels, apply, random_gibbs_stochastic, sys_marginal
 from thermops.construction import extend_to_oscillator
 from thermops.erasure import oscillator_erasure_subchannels
 from thermops.spectra import DiagonalState, EnergySpectrum
-
-FOUR_ULP = 8.9e-16  # four units in the last place at scale 1
 
 
 def seeded_wit(seed):
@@ -88,3 +86,27 @@ def test_seeded_ladders_within_four_ulp():
             "sys_out": max(relative_error(a, b) for a, b in zip(out, ref["sys_out"])),
         }
         assert max(errors.values()) <= FOUR_ULP, (seed, errors)
+
+
+def test_hand_checked_erasure_band():
+    """Perfect erasure at N = 6 on the degenerate qubit, so e^{-beta E_s} = 1.
+
+    Let q = e^{beta delta} / 2.  The vacuum column holds r00 r01^i = r00 / 2^i
+    at level i < 6, weighted e^{beta delta i} = (2q)^i, and 1^T r00 1 = 1, so
+    level i adds q^i; level 6 holds r01^6 = I / 64, weighted (2q)^6, and adds
+    2 q^6.  Every other column k holds only r10 at k - 1, whose entries sum
+    to 2, weighted e^{-beta delta}: 1 / q.  The float delta is ln 2 to within
+    2.4e-17, so q = 1 to that order: the vacuum column is N + 2 = 8 and every
+    other column is 1.
+    """
+    sub = oscillator_erasure_subchannels(0.0)
+    band = conditional_band(sub, 6)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = (Decimal(sub.beta) * Decimal(sub.delta)).exp() / 2
+        assert abs(band[0] - (sum(q**i for i in range(6)) + 2 * q**6)) <= Decimal("1e-45")
+        assert all(abs(value - 1 / q) <= Decimal("1e-45") for value in band[1:])
+        assert abs(band[0] - 8) <= Decimal("1e-15")
+        assert all(abs(value - 1) <= Decimal("1e-16") for value in band[1:])
+    fast = LadderChannel(sub, 6).conditional_band()
+    assert max(relative_error(a, b) for a, b in zip(fast, band)) <= FOUR_ULP
