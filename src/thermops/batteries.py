@@ -76,6 +76,9 @@ def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[n
     width_class = np.frexp(sizes - 1)[1]  # 2**class is the least power of two >= size
     for c in np.flatnonzero(np.bincount(width_class)):
         rows = np.flatnonzero(width_class == c)
+        if c == 0:  # groups of one mass, such as a ladder's N + 2 distinct works
+            sums[rows] = p[starts[rows]]
+            continue
         width = 1 << int(c)
         cols = np.arange(width)
         filled = cols < sizes[rows, None]

@@ -455,7 +455,7 @@ def ladder_spectrum(num_quanta: int, delta: float) -> EnergySpectrum:
     if delta > 0:
         return EnergySpectrum.oscillator(num_quanta, delta)
     # Degenerate gap (delta = 0) arises only for trivial transitions.
-    return EnergySpectrum(levels=(0.0,) * (num_quanta + 1), label="oscillator")
+    return EnergySpectrum(levels=np.zeros(num_quanta + 1), label="oscillator")
 
 
 def _linear_scan(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -488,7 +488,7 @@ class LadderChannel(ThermalChannel):
     them.  Every kernel in the package reads a LadderChannel from these
     blocks or from the wit blocks, in O(N d^2) time and memory, except the
     scanned ETI windows.  `matrix` is assembled
-    band by band only when first read, then kept read-only; it is
+    by one strided copy only when first read, then kept read-only; it is
     byte-identical to the earlier eager assembly.  Every interior band is
     filled from one stored block, so translation invariance above the
     vacuum and below the top row holds exactly, and `check_eti` does not
@@ -553,21 +553,25 @@ class LadderChannel(ThermalChannel):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense (d(N+1))^2 matrix, assembled band by band on first use."""
+        """The dense (d(N+1))^2 matrix, assembled on first use."""
         d, n, stack = self.d_in, self.num_quanta, self.block_stack
         nb = n + 1
-        # One assignment per band: r4[:, rows, :, cols] indexes pairs of levels
-        # (k', k) and takes a stack of d x d blocks, one per pair.
-        r4 = np.zeros((d, nb, d, nb))
-        levels = np.arange(nb)
-        r4[:, levels[:n], :, 0] = stack[:n]
+        r4 = np.zeros((d, nb, d, nb))  # [s', k', s, k]
+        if n >= 2:
+            # Rows k' < N of an interior column k depend on k' - k alone:
+            # zero below k - 1, r10 at k - 1, r00 r01^i r11 at k + i.  Column k
+            # is the window of length N at N - 1 - k in `diagonal`, so one
+            # strided copy fills every interior column.
+            diagonal = np.zeros((2 * n - 2, d, d))
+            diagonal[n - 2] = self.sub.r10
+            diagonal[n - 1 :] = stack[n + 1 : 2 * n]
+            windows = np.lib.stride_tricks.sliding_window_view(diagonal, n, axis=0)
+            r4[:, :n, :, 1:n] = windows[::-1].transpose(1, 3, 2, 0)
+        r4[:, :n, :, 0] = stack[:n].transpose(1, 0, 2)
         r4[:, n, :, 0] = stack[n]
-        r4[:, levels[:n], :, levels[1:]] = self.sub.r10
-        for i in range(n - 1):
-            ks = levels[1 : n - i]
-            r4[:, ks + i, :, ks] = stack[n + 1 + i]
-        ks = levels[1:n]
+        ks = np.arange(1, n)
         r4[:, n, :, ks] = stack[3 * n - 1 - ks]
+        r4[:, n - 1, :, n] = self.sub.r10
         r4[:, n, :, n] = self.sub.r11
         matrix = r4.reshape(d * nb, d * nb)
         matrix.setflags(write=False)

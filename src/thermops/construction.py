@@ -31,6 +31,7 @@ The ladder's work distribution comes straight from the blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,8 +70,44 @@ def extend_to_oscillator(sub: WitSubchannels, num_quanta: int) -> LadderChannel:
 
 def truncation_tail(sub: WitSubchannels, num_quanta: int) -> float:
     """Operator 1-norm of r01^N, the mass the completion folds into the top level."""
-    p = np.linalg.matrix_power(sub.r01, num_quanta)
-    return float(np.abs(p).sum(axis=0).max())
+    return _one_norm(np.linalg.matrix_power(sub.r01, num_quanta))
+
+
+def _one_norm(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max())
+
+
+def _power_chain(a: np.ndarray) -> Callable[[int], np.ndarray]:
+    """n -> a^n with the bits of np.linalg.matrix_power(a, n), each a^(2^j) squared once.
+
+    matrix_power takes n = 0 to 3 directly (a^3 as (a a) a) and multiplies
+    every larger power out of the squarings a^(2^j), from the lowest set
+    bit of n up.  The returned function forms each power by the same
+    products in the same order, and keeps the squarings for the next call.
+    """
+    squares = [a]
+
+    def power(n: int) -> np.ndarray:
+        if n == 0:
+            return np.eye(len(a), dtype=a.dtype)
+        if n <= 2:
+            return a if n == 1 else _square(1)
+        if n == 3:
+            return _square(1) @ a
+        result, j = None, 0
+        while n:
+            n, bit = divmod(n, 2)
+            if bit:
+                result = _square(j) if result is None else result @ _square(j)
+            j += 1
+        return result
+
+    def _square(j: int) -> np.ndarray:
+        while len(squares) <= j:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[j]
+
+    return power
 
 
 def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
@@ -78,19 +115,23 @@ def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
 
     The columns of a valid r01 sum to at most 1, so the tail ||r01^N||_1
     does not grow with N: the search doubles N until the tail is small
-    enough and then bisects, O(log^2 N) products of d x d blocks.  The
-    doubling ends only if r01 has spectral radius below 1, which is
-    checked first.
+    enough and then bisects, O(log N) tails.  Each tail is r01^N formed
+    by the products np.linalg.matrix_power would take, so it has the bits
+    of truncation_tail and the chosen N is the same; but the squarings
+    r01^(2^j) are made once per call and shared by every probe, so a probe
+    costs only its popcount(N) - 1 products of d x d blocks.  The doubling
+    ends only if r01 has spectral radius below 1, which is checked first.
     """
     if not tol > 0.0:
         raise DomainError(f"tail tolerance must be positive, got {tol}")
     _require_convergent(sub.r01)
+    power = _power_chain(sub.r01)
     lo, hi = 1, 2  # the answer lies in (lo, hi] once the tail at hi is small
-    while truncation_tail(sub, hi) > tol:
+    while _one_norm(power(hi)) > tol:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if truncation_tail(sub, mid) > tol:
+        if _one_norm(power(mid)) > tol:
             lo = mid
         else:
             hi = mid

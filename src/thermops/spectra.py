@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,27 +49,63 @@ def binary_entropy(x: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
 class EnergySpectrum:
-    """Ordered energy levels of a system or battery, in units of k_B T."""
+    """Ordered energy levels of a system or battery, in units of k_B T.
 
-    levels: tuple[float, ...]
-    label: str = field(default="", compare=False)  # tag only, not identity
+    The levels are held as one read-only float64 array, `array`, returned
+    without a copy; `levels` gives the same values as a tuple of Python
+    floats, built on first read.  Two spectra are equal when their levels
+    are equal (so -0.0 equals 0.0, and the hash agrees); the label is a tag
+    only and takes no part in equality.  A spectrum is immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.levels) == 0:
+    def __init__(self, levels, label: str = ""):
+        # A read-only float64 array is kept as it is, so spectra built from
+        # one share it; anything the caller could still write to is copied.
+        arr = levels
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable):
+            arr = np.array(levels, dtype=float)
+            arr.setflags(write=False)
+        if arr.ndim != 1 or arr.size == 0:
             raise DomainError("spectrum needs at least one level")
-        arr = np.asarray(self.levels, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise DomainError("spectrum levels must be finite")
-        object.__setattr__(self, "levels", tuple(float(x) for x in arr))
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EnergySpectrum is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EnergySpectrum is immutable; cannot delete {name!r}")
+
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.array + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, EnergySpectrum):
+            return NotImplemented
+        a, b = self.array, other.array
+        return a.shape == b.shape and bool((a == b).all())
 
     def __len__(self) -> int:
-        return len(self.levels)
+        return len(self.array)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
+    def __repr__(self) -> str:
+        return f"EnergySpectrum(levels={self.levels!r}, label={self.label!r})"
+
+    def __reduce__(self):
+        return EnergySpectrum, (self.array, self.label)
 
     @classmethod
     def trivial(cls, dim: int, label: str = "degenerate") -> "EnergySpectrum":
@@ -82,7 +119,8 @@ class EnergySpectrum:
             raise DomainError("oscillator needs num_quanta >= 1")
         if delta <= 0:
             raise DomainError("oscillator spacing must be positive")
-        return cls(levels=tuple(k * delta for k in range(num_quanta + 1)), label=label)
+        # k is exact in float64, so each level has the bits of k * delta.
+        return cls(levels=np.arange(num_quanta + 1) * delta, label=label)
 
     @classmethod
     def wit(cls, delta: float, label: str = "wit") -> "EnergySpectrum":
@@ -108,7 +146,7 @@ class EnergySpectrum:
 def joint_spectrum(sys: EnergySpectrum, battery: EnergySpectrum) -> EnergySpectrum:
     """Product spectrum over pairs (s, k), flattened system-major."""
     levels = (sys.array[:, None] + battery.array[None, :]).ravel()
-    return EnergySpectrum(levels=tuple(levels), label=f"{sys.label}*{battery.label}")
+    return EnergySpectrum(levels=levels, label=f"{sys.label}*{battery.label}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +230,7 @@ def fine_grained_free_energy(state: DiagonalState, beta: float, index: int) -> f
     p = state.probs[index]
     if p <= 0.0:
         raise ZeroProbability(f"f is -inf on zero-probability level {index}")
-    return float(state.spectrum.levels[index] + np.log(p) / beta)
+    return float(state.spectrum.array[index] + np.log(p) / beta)
 
 
 def d_max(state: DiagonalState, reference: DiagonalState) -> float:

@@ -247,3 +247,48 @@ class TestVarianceFloor:
     def test_gamma_range(self):
         with pytest.raises(DomainError):
             theorem4_check(WorkDistribution.point_mass(-1.0), 1.5)
+
+
+def padded_cumsum_merge(values, probs, tol):
+    """The merge with every group, singletons too, summed by a padded cumsum row."""
+    from thermops.batteries import _group_starts
+
+    order = np.argsort(values, kind="stable")
+    v, p = values[order], probs[order]
+    if v.size == 0:
+        return v, p
+    starts = _group_starts(v, tol)
+    sizes = np.diff(np.append(starts, len(v)))
+    sums = np.empty(len(starts))
+    width_class = np.frexp(sizes - 1)[1]
+    for c in np.flatnonzero(np.bincount(width_class)):
+        rows = np.flatnonzero(width_class == c)
+        width = 1 << int(c)
+        cols = np.arange(width)
+        filled = cols < sizes[rows, None]
+        padded = np.zeros((len(rows), width))
+        padded[filled] = p[(starts[rows, None] + cols)[filled]]
+        np.cumsum(padded, axis=1, out=padded)
+        sums[rows] = padded[np.arange(len(rows)), sizes[rows] - 1]
+    return v[starts], sums
+
+
+def _singleton_cases():
+    cases = dict(_merge_cases())
+    rng = np.random.default_rng(41)
+    # A ladder's N + 2 work values, all distinct: every group is one mass.
+    masses = rng.dirichlet(np.ones(707))
+    masses[rng.integers(0, 707, 40)] = 0.0
+    cases["distinct ladder offsets"] = (0.6 * np.arange(-1, 706), masses)
+    cases["empty"] = (np.array([]), np.array([]))
+    return cases
+
+
+class TestMergeSingletonGroups:
+    @pytest.mark.parametrize("name, case", list(_singleton_cases().items()))
+    def test_bit_equal_to_padded_cumsum_for_every_group(self, name, case):
+        values, probs = case
+        got_v, got_p = _merge_support(values, probs, MERGE_TOL)
+        want_v, want_p = padded_cumsum_merge(values, probs, MERGE_TOL)
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_p.tobytes() == want_p.tobytes()

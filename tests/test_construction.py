@@ -14,6 +14,7 @@ from thermops.channels import (
     validate,
 )
 from thermops.construction import (
+    _power_chain,
     auto_battery_size,
     closed_form_average_work,
     extend_to_oscillator,
@@ -342,3 +343,31 @@ class TestTheorem3:
         assert abs(delta - LN2) < 1e-12
         wd = work_distribution(ch, tau, DiagonalState.pure(5, ch.battery))
         assert_allclose(wd.support, [-LN2])
+
+
+def _sizing_matrices():
+    out = {f"erasure r01 eps={eps}": oscillator_erasure_subchannels(eps).r01 for eps in (0.1, 0.48, 0.499)}
+    for seed in range(10):
+        out[f"wit r01 seed={seed}"] = random_wit(2 + seed % 3, 300 + seed).r01
+    return out
+
+
+class TestSizingPowers:
+    @pytest.mark.parametrize("name, m", list(_sizing_matrices().items()))
+    def test_bit_equal_to_matrix_power(self, name, m):
+        power = _power_chain(m)
+        got = np.stack([power(n) for n in range(4097)])
+        want = np.stack([np.linalg.matrix_power(m, n) for n in range(4097)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_powers_in_any_order(self):
+        m = random_wit(3, 7).r01
+        power = _power_chain(m)
+        for n in (4096, 3, 1000, 2, 17, 0, 4095, 1):
+            assert power(n).tobytes() == np.linalg.matrix_power(m, n).tobytes()
+
+    @pytest.mark.parametrize("eps, size", [(0.48, 705), (0.495, 2777), (0.499, 13830)])
+    def test_erasure_sizes(self, eps, size):
+        sub = oscillator_erasure_subchannels(eps)
+        assert auto_battery_size(sub) == size
+        assert truncation_tail(sub, size) <= 1e-12 < truncation_tail(sub, size - 1)

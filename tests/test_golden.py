@@ -1,0 +1,99 @@
+"""Byte-for-byte pins of the package's outputs at small sizes.
+
+Every experiment table at N = 40 (three trials where the experiment draws
+trials), one seeded `construct` channel file and report, at N = 40 and at
+the automatic N, and the `erasure stats` record at eps = 0.499,
+gamma = 0.25 (N = 13,830) are pinned by their sha256.  A refactor or a
+speed-up must keep every one of these bytes; a change that moves a number
+on purpose updates the digest here and says why.
+"""
+
+import json
+
+import pytest
+
+from thermops.cli import main
+from thermops.experiments import EXPERIMENTS, random_wit_subchannels, run_experiment
+from thermops.fileio import sha256_text
+
+SMALL = {"num_quanta": 40, "trials": 3}
+
+TABLE_DIGESTS = {
+    "certify-thm1/certify_thm1.csv": "79a81b7f28787458c6d8c6f92aa03ece47978449a9e540c12e89337a0677047d",
+    "certify-thm2/certify_thm2.csv": "4ef5424a1126f9aadd39378c2139b91d081e07b7ba8f1722a61e58dc740928b8",
+    "certify-thm4/certify_thm4.csv": "3393d8fbc4fc6957086bd237c8ebb662d94db12c0129b329f3a158ac53134285",
+    "example1/example1_work_distribution.csv": "e01923067bf212162dc1eda95e8f98a3ac7384f2ef6fac3d20e3d366eed9e005",
+    "example2/example2_obstruction.csv": "cba28967b30e7edca76f82fb6c13ecd8f8197cdbfe273f8fba48b55a218b279d",
+    "example3/example3_conditional_average.csv": "35a1abf5be53745802dfa03d15fda674d76e16b4965bb40ece0506135114941a",
+    "fig2a/fig2a.csv": "cb21df3d1d9bba6479a2752e8b0eacdefdaeeb8a772334c34f4d0dd27220b939",
+    "fig2b/fig2b.csv": "377262fcbfd3b7ec97ec6a3a7409c2b033ddaa7877ec348b186e9e31f4caf1cd",
+    "fig4/fig4.csv": "d93dd230cd21f928a8240c436e7f26ccaeeb67fc3a7a8df3538d79069e45fc31",
+    "oracle-feasibility/oracle_feasibility.csv": "cfbb806726a5b24024681a4284feb7f0319fa55e1599616c8e1715b6962fa355",
+}
+
+CONSTRUCT_DIGESTS = {
+    "N40/channel": "37c738c6e9c4e07736678ec38cfc9d747d4e60a95eb7278d0663d49a299ff1fa",
+    "N40/report": "15169e5d40c98a216bc63b2b2058a4c6ce077d8fea6c8a14094d49ffe896e1b2",
+    "auto/channel": "6160290e3eaa4ebbdbe1d17f0920f12a19e4761e1455c2d6d64c405ab5a18844",
+    "auto/report": "4f128555d49c02a87b446ba6078d44711ab4e565d2ac15c5abf0cd713bb2254d",
+}
+
+ERASURE_STATS_DIGEST = "5a456d89ddd366fbbf6e98947552c53a17c6e45a453c16783b483fd3a8b376a2"
+
+
+def _small_overrides(name: str) -> dict:
+    defaults = EXPERIMENTS[name][0]
+    return {key: value for key, value in SMALL.items() if key in defaults}
+
+
+def table_digests() -> dict[str, str]:
+    out = {}
+    for name in sorted(EXPERIMENTS):
+        result = run_experiment(name, _small_overrides(name))
+        for fname, text in result.tables.items():
+            out[f"{name}/{fname}"] = sha256_text(text)
+    return out
+
+
+def _subchannel_config(seed: int, trial: int) -> str:
+    sub = random_wit_subchannels(seed, trial)
+    lines = [
+        f"delta = {sub.delta!r}",
+        f"beta = {sub.beta!r}",
+        f"sys_levels = {json.dumps(list(sub.system.levels))}",
+    ]
+    for name in ("r00", "r01", "r10", "r11"):
+        lines.append(f"{name.upper()} = {json.dumps(getattr(sub, name).tolist())}")
+    return "\n".join(lines) + "\n"
+
+
+def construct_digests(tmp_path) -> dict[str, str]:
+    sub_file = tmp_path / "sub.cfg"
+    sub_file.write_text(_subchannel_config(0, 1), encoding="utf-8")
+    out = {}
+    for tag, size in (("N40", ["--num-quanta", "40"]), ("auto", [])):
+        channel, report = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.json"
+        code = main(["construct", "--subchannels", str(sub_file), *size,
+                     "--out", str(channel), "--report", str(report)])
+        assert code == 0
+        out[f"{tag}/channel"] = sha256_text(channel.read_text(encoding="utf-8"))
+        out[f"{tag}/report"] = sha256_text(report.read_text(encoding="utf-8"))
+    return out
+
+
+def erasure_stats_digest(capsys) -> str:
+    capsys.readouterr()
+    assert main(["erasure", "stats", "--eps", "0.499", "--gamma", "0.25"]) == 0
+    return sha256_text(capsys.readouterr().out)
+
+
+def test_experiment_tables():
+    assert table_digests() == TABLE_DIGESTS
+
+
+def test_construct_channel_and_report(tmp_path):
+    assert construct_digests(tmp_path) == CONSTRUCT_DIGESTS
+
+
+def test_erasure_stats(capsys):
+    assert erasure_stats_digest(capsys) == ERASURE_STATS_DIGEST

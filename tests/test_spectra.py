@@ -204,3 +204,65 @@ class TestStateValidation:
     def test_spectrum_needs_levels(self):
         with pytest.raises(ValueError):
             EnergySpectrum(())
+
+
+class TestSpectrumStorage:
+    def test_signed_zeros_are_equal_with_equal_hashes(self):
+        a, b = EnergySpectrum((0.0, 1.0)), EnergySpectrum((-0.0, 1.0))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_label_ignored(self):
+        a, b = EnergySpectrum((0.0, 0.5), "sys"), EnergySpectrum((0.0, 0.5), "other")
+        assert a == b and hash(a) == hash(b)
+        assert EnergySpectrum((0.0, 0.5)) != EnergySpectrum((0.0, 0.5, 1.0))
+        assert EnergySpectrum((0.0, 0.5)) != EnergySpectrum((0.0, 0.25))
+        assert EnergySpectrum((0.0, 0.5)) != (0.0, 0.5)
+
+    def test_array_read_only_and_shared(self):
+        sp = EnergySpectrum.oscillator(10, 0.3)
+        first, second = sp.array, sp.array
+        assert not first.flags.writeable
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        frozen = np.arange(3.0)
+        frozen.setflags(write=False)
+        assert EnergySpectrum(frozen).array is frozen
+
+    def test_caller_array_is_copied(self):
+        levels = np.array([0.0, 0.5])
+        sp = EnergySpectrum(levels)
+        levels[1] = 9.0
+        assert sp.levels == (0.0, 0.5)
+
+    def test_levels_tuple_of_python_floats(self):
+        sp = EnergySpectrum(np.array([0.0, 0.25, 1.5]), "sys")
+        assert sp.levels == (0.0, 0.25, 1.5)
+        assert all(type(x) is float for x in sp.levels)
+        assert len(sp) == 3
+
+    def test_immutable(self):
+        sp = EnergySpectrum((0.0, 1.0))
+        with pytest.raises(AttributeError):
+            sp.label = "x"
+        with pytest.raises(AttributeError):
+            sp.array = np.zeros(2)
+
+    @pytest.mark.parametrize("levels", [(), (0.0, np.nan), (np.inf,), (0.0, -np.inf), [[0.0, 1.0]]])
+    def test_bad_levels_refused(self, levels):
+        with pytest.raises(DomainError):
+            EnergySpectrum(levels)
+
+    @pytest.mark.parametrize("n, delta", [(1, 0.1), (40, 0.6931471805599453), (13830, 0.6911470), (705, 1 / 3)])
+    def test_oscillator_levels_are_k_delta(self, n, delta):
+        sp = EnergySpectrum.oscillator(n, delta)
+        assert sp.array.tobytes() == np.array([k * delta for k in range(n + 1)]).tobytes()
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        sp = EnergySpectrum((0.0, 0.4, 1.1), "sys")
+        back = pickle.loads(pickle.dumps(sp))
+        assert back == sp and back.label == "sys" and not back.array.flags.writeable
