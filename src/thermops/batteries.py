@@ -97,7 +97,9 @@ class WorkDistribution:
     in order: a value at most MERGE_TOL above the first value of the current
     group, its leader, joins that group; any other value leads a new group.
     A group keeps its leader's value, and its masses are summed in sorted
-    order, left to right.  Groups of zero mass are then dropped.
+    order, left to right.  Groups of zero mass are then dropped.  A support
+    that already rises by more than MERGE_TOL at every step, such as a
+    ladder's N + 2 works, is its own grouping and skips the sort.
     """
 
     support: np.ndarray
@@ -112,7 +114,9 @@ class WorkDistribution:
             raise DomainError("a work distribution needs at least one value")
         if np.min(p) < -1e-15:
             raise DomainError(f"negative work probability {np.min(p)}")
-        v, p = _merge_support(v, np.clip(p, 0.0, None), MERGE_TOL)
+        p = np.clip(p, 0.0, None)
+        if not (np.diff(v) > MERGE_TOL).all():  # else every value is its own group, in order
+            v, p = _merge_support(v, p, MERGE_TOL)
         keep = p > 0.0
         v, p = v[keep], p[keep]
         total = p.sum()
@@ -146,22 +150,33 @@ class CostFunction:
 
 
 def _power_orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    """m^j v for j = 0..count-1, stacked along a new first axis.
+    """m^j v for j = 0..count-1 and a d x k matrix v, stacked along a new first axis.
 
-    Works in blocks of about sqrt(count) steps with one batched product per
-    block, so the Python loops take O(sqrt(count)) steps, not count.
+    Works in chunks of block = floor(sqrt(count)) steps.  Two sequential
+    chains of small products make the powers m^j (j < block) and the chunk
+    starts v_{i+1} = m (m^(block-1) v_i); one batched matmul of the stacked
+    powers, (block d x d), against every start then gives
+    m^(i block + j) v = m^j v_i for all of them, already in orbit order.
+    Every entry is the same length-d dot product as in a product per
+    chunk, so the bits are those of the chunk-by-chunk loop.  The Python
+    loops take O(sqrt(count)) steps, not count; the chains write through
+    `ndarray.dot(..., out=)`, the cheapest call into the same BLAS product.
     """
     block = max(1, int(np.sqrt(count)))
-    powers = np.empty((block, *m.shape))
-    powers[0] = np.eye(len(m))
+    d = len(m)
+    powers = np.empty((block, d, d))
+    powers[0] = np.eye(d)
     for j in range(1, block):
-        powers[j] = m @ powers[j - 1]
-    out = np.empty((count, *v.shape))
-    for i in range(0, count, block):
-        chunk = powers[: count - i] @ v
-        out[i : i + len(chunk)] = chunk
-        v = m @ chunk[-1]
-    return out
+        m.dot(powers[j - 1], out=powers[j])
+    chunks = -(-count // block)
+    starts = np.empty((chunks, *v.shape))
+    starts[0] = v
+    last, end = powers[-1], np.empty(v.shape)
+    for i in range(1, chunks):
+        last.dot(starts[i - 1], out=end)  # the last step of chunk i - 1
+        m.dot(end, out=starts[i])
+    orbit = np.matmul(powers.reshape(block * d, d), starts)
+    return orbit.reshape(chunks * block, *v.shape)[:count]
 
 
 def ladder_work_distribution(
@@ -185,7 +200,9 @@ def ladder_work_distribution(
     c = sub.r00.sum(axis=0)
     from_vacuum = krylov[:n, :, 0] @ c
     series = krylov[:n, :, 1] @ c
-    top = krylov[:n, :, 1].sum(axis=1)
+    # numpy sums fewer than eight terms left to right, as the builtin sum over
+    # rows does, but a reduction over the short strided axis is slow.
+    top = sum(krylov[:n, :, 1].T) if sub.dim < 8 else krylov[:n, :, 1].sum(axis=1)
     above = np.concatenate(([0.0], np.cumsum(b[1:])))  # above[m] = S(m)
 
     masses = np.empty(n + 2)

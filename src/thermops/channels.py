@@ -619,7 +619,12 @@ class LadderChannel(ThermalChannel):
         z = np.empty((n + 1, sub.dim))
         z[0] = g
         z[1:] = sub.r11 @ g
-        u = _linear_scan(np.exp(bd) * sub.r01, z)
+        with np.errstate(over="ignore"):
+            scale = np.exp(bd)
+        # Past e^{709} the float factor is inf and inf * 0 is NaN; the exact
+        # product keeps zero entries zero.
+        up = scale * sub.r01 if np.isfinite(scale) else _exp_times(sub.beta, sub.delta, sub.r01)[0]
+        u = _linear_scan(up, z)
         inflow = np.empty_like(u)
         inflow[:n] = u[:n] @ sub.r00.T + np.exp(-bd) * (sub.r10 @ g)
         inflow[n] = u[n]

@@ -30,6 +30,7 @@ The ladder's work distribution comes straight from the blocks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,28 +85,23 @@ def _power_chain(a: np.ndarray) -> Callable[[int], np.ndarray]:
     every larger power out of the squarings a^(2^j), from the lowest set
     bit of n up.  The returned function forms each power by the same
     products in the same order, and keeps the squarings for the next call.
+    The products go through `ndarray.dot`, the cheapest call into the same
+    BLAS product as matmul.
     """
     squares = [a]
 
     def power(n: int) -> np.ndarray:
         if n == 0:
             return np.eye(len(a), dtype=a.dtype)
-        if n <= 2:
-            return a if n == 1 else _square(1)
+        while len(squares) < n.bit_length():
+            squares.append(squares[-1].dot(squares[-1]))
         if n == 3:
-            return _square(1) @ a
-        result, j = None, 0
-        while n:
-            n, bit = divmod(n, 2)
-            if bit:
-                result = _square(j) if result is None else result @ _square(j)
-            j += 1
+            return squares[1].dot(a)
+        result = None
+        for j in range(n.bit_length()):
+            if n >> j & 1:
+                result = squares[j] if result is None else result.dot(squares[j])
         return result
-
-    def _square(j: int) -> np.ndarray:
-        while len(squares) <= j:
-            squares.append(squares[-1] @ squares[-1])
-        return squares[j]
 
     return power
 
@@ -114,35 +110,54 @@ def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
     """Smallest N >= 2 with truncation_tail(sub, N) <= tol.
 
     The columns of a valid r01 sum to at most 1, so the tail ||r01^N||_1
-    does not grow with N: the search doubles N until the tail is small
-    enough and then bisects, O(log N) tails.  Each tail is r01^N formed
-    by the products np.linalg.matrix_power would take, so it has the bits
-    of truncation_tail and the chosen N is the same; but the squarings
-    r01^(2^j) are made once per call and shared by every probe, so a probe
-    costs only its popcount(N) - 1 products of d x d blocks.  The doubling
-    ends only if r01 has spectral radius below 1, which is checked first.
+    does not grow with N, and it is at least rho^N for the spectral radius
+    rho of r01, which has to lie below 1 (checked first).  The answer is
+    therefore at least ceil(ln tol / ln rho).  The search probes that N,
+    then steps down once to confirm it; if the guess is short it gallops
+    up (steps 1, 2, 4, ...) and bisects, and if it overshoots it gallops
+    down the same way.  Two probes settle most operations.  Each tail is
+    r01^N formed by the products np.linalg.matrix_power would take, so it
+    has the bits of truncation_tail and the chosen N is the one a
+    doubling search would find; the squarings r01^(2^j) are made once
+    per call and shared by every probe, so a probe costs only its
+    popcount(N) - 1 products of d x d blocks.
     """
     if not tol > 0.0:
         raise DomainError(f"tail tolerance must be positive, got {tol}")
-    _require_convergent(sub.r01)
+    radius = _require_convergent(sub.r01)
     power = _power_chain(sub.r01)
-    lo, hi = 1, 2  # the answer lies in (lo, hi] once the tail at hi is small
-    while _one_norm(power(hi)) > tol:
-        lo, hi = hi, 2 * hi
+
+    def small(n: int) -> bool:  # n = 1 stands for "below the least size"
+        return n >= 2 and _one_norm(power(n)) <= tol
+
+    guess = 2
+    if radius > 0.0 and tol < 1.0:  # else the bound says nothing above N = 2
+        guess = max(guess, math.ceil(math.log(tol) / math.log(radius)))
+    # The answer lies in (lo, hi]: the tail at lo is above tol, at hi within it.
+    step = 1
+    if small(guess):
+        hi = guess
+        while small(lo := max(1, hi - step)):
+            hi, step = lo, 2 * step
+    else:
+        lo = guess
+        while not small(hi := lo + step):
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _one_norm(power(mid)) > tol:
-            lo = mid
-        else:
+        if small(mid):
             hi = mid
+        else:
+            lo = mid
     return hi
 
 
-def _require_convergent(r01: np.ndarray) -> None:
-    """Raise unless sum_n r01^n converges with margin: spectral radius below 1 - SERIES_MARGIN."""
+def _require_convergent(r01: np.ndarray) -> float:
+    """Spectral radius of r01; raise unless it lies below 1 - SERIES_MARGIN, so sum_n r01^n converges."""
     radius = float(np.max(np.abs(np.linalg.eigvals(r01))))
     if radius >= 1.0 - SERIES_MARGIN:
         raise NonConvergentSeries(f"spectral radius of r01 is {radius}, too close to 1")
+    return radius
 
 
 def closed_form_average_work(sub: WitSubchannels, x: DiagonalState) -> float:

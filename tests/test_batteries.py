@@ -12,14 +12,16 @@ from thermops.batteries import (
     general_cost,
     theorem4_check,
     variance,
+    ladder_work_distribution,
     work_distribution,
     _merge_support,
+    _power_orbit,
 )
-from thermops.channels import identity_channel, random_gibbs_stochastic
+from thermops.channels import WitSubchannels, identity_channel, random_gibbs_stochastic
 from thermops.construction import extend_to_oscillator
 from thermops.erasure import oscillator_erasure_subchannels
 from thermops.errors import DomainError, PreconditionViolated
-from thermops.experiments import thermalization_subchannels
+from thermops.experiments import random_wit_subchannels, thermalization_subchannels
 from thermops.spectra import DiagonalState, EnergySpectrum, binary_entropy, gibbs_state
 
 LN2 = np.log(2.0)
@@ -292,3 +294,153 @@ class TestMergeSingletonGroups:
         want_v, want_p = padded_cumsum_merge(values, probs, MERGE_TOL)
         assert got_v.tobytes() == want_v.tobytes()
         assert got_p.tobytes() == want_p.tobytes()
+
+
+def chunk_loop_orbit(m, v, count):
+    """m^j v by a batched product per chunk of floor(sqrt(count)) steps."""
+    block = max(1, int(np.sqrt(count)))
+    powers = np.empty((block, *m.shape))
+    powers[0] = np.eye(len(m))
+    for j in range(1, block):
+        powers[j] = m @ powers[j - 1]
+    out = np.empty((count, *v.shape))
+    for i in range(0, count, block):
+        chunk = powers[: count - i] @ v
+        out[i : i + len(chunk)] = chunk
+        v = m @ chunk[-1]
+    return out
+
+
+def seeded_wit(dim, seed):
+    """Valid wit operation on a `dim`-level system from random partial beta-swaps."""
+    rng = np.random.default_rng([seed, dim])
+    sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, dim))), "sys")
+    channel = random_gibbs_stochastic(
+        sys, EnergySpectrum.wit(float(rng.uniform(0.8, 1.6))), 1.0, seed=seed, num_mixes=8 * dim
+    )
+    return WitSubchannels.from_channel(channel)
+
+
+def _orbit_matrices():
+    """(r01, r11) pairs: erasure blocks, seeded operations, and slow decays for d = 1-9.
+
+    A seeded operation's r01 decays fast, so its long orbits end in zeros;
+    the random substochastic blocks with column sums 1/1.0005 keep every
+    step of a 13,831-step orbit a normal float.
+    """
+    subs = {f"erasure eps={eps}": oscillator_erasure_subchannels(eps) for eps in (0.0, 0.3, 0.48, 0.499)}
+    subs.update({f"seeded ({seed}, {trial})": random_wit_subchannels(seed, trial) for seed, trial in ((0, 1), (1, 7), (2, 50))})
+    subs.update({f"d={dim}": seeded_wit(dim, 11) for dim in range(1, 10)})
+    out = {name: (sub.r01, sub.r11) for name, sub in subs.items()}
+    rng = np.random.default_rng(31)
+    for dim in range(1, 10):
+        m = rng.uniform(size=(dim, dim))
+        out[f"slow d={dim}"] = (m / (1.0005 * m.sum(axis=0)), rng.uniform(size=(dim, dim)))
+    return out
+
+
+ORBIT_COUNTS = (1, 2, 3, 4, 5, 9, 41, 301, 706, 2778, 13831)
+
+
+class TestPowerOrbit:
+    @pytest.mark.parametrize("name, blocks", list(_orbit_matrices().items()))
+    def test_bit_equal_to_chunk_loop(self, name, blocks):
+        r01, r11 = blocks
+        x = np.random.default_rng(len(r01)).dirichlet(np.ones(len(r01)))
+        v = np.column_stack((x, r11 @ x))
+        for count in ORBIT_COUNTS:
+            got = _power_orbit(r01, v, count)
+            want = chunk_loop_orbit(r01, v, count)
+            assert got.shape == want.shape == (count, len(r01), 2)
+            assert got.tobytes() == want.tobytes(), count
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_ladder_work_bit_equal_to_chunk_loop_and_full_merge(self, dim):
+        sub = seeded_wit(dim, 5)
+        n = 300
+        rng = np.random.default_rng(dim)
+        sys = DiagonalState(rng.dirichlet(np.ones(dim)), sub.system)
+        bat = DiagonalState(rng.dirichlet(np.ones(n + 1)), EnergySpectrum.oscillator(n, sub.delta))
+        got = ladder_work_distribution(sub, n, sys, bat)
+        # The masses as first written: strided sums over the chunk-loop orbit, then the full merge.
+        x, b = sys.probs, bat.probs
+        krylov = chunk_loop_orbit(sub.r01, np.column_stack((x, sub.r11 @ x)), n + 1)
+        c = sub.r00.sum(axis=0)
+        above = np.concatenate(([0.0], np.cumsum(b[1:])))
+        masses = np.empty(n + 2)
+        masses[0] = (sub.r10 @ x).sum() * above[n]
+        masses[1:-1] = (
+            b[0] * (krylov[:n, :, 0] @ c)
+            + above[n - 1::-1] * (krylov[:n, :, 1] @ c)
+            + b[n:0:-1] * krylov[:n, :, 1].sum(axis=1)
+        )
+        masses[-1] = b[0] * krylov[n, :, 0].sum()
+        want_v, want_p = _merge_support(sub.delta * np.arange(-1, n + 1), np.clip(masses, 0.0, None), MERGE_TOL)
+        keep = want_p > 0.0
+        assert got.support.tobytes() == want_v[keep].tobytes()
+        assert got.probs.tobytes() == want_p[keep].tobytes()
+
+
+def merged_distribution(values, probs):
+    """WorkDistribution's support and masses with every support sent through the merge."""
+    v, p = _merge_support(values, np.clip(probs, 0.0, None), MERGE_TOL)
+    keep = p > 0.0
+    return v[keep], p[keep]
+
+
+def _distinct_supports():
+    rng = np.random.default_rng(23)
+    cases = {}
+    for m in (1, 2, 7, 707):
+        p = rng.dirichlet(np.ones(m))
+        if m > 2:
+            p[rng.integers(0, m, m // 3)] = 0.0
+            p[rng.integers(0, m, 2)] = -1e-16
+        p /= p.sum()
+        cases[f"ladder offsets m={m}"] = (0.6 * np.arange(-1, m - 1), p)
+    steps = 1.0000001 * MERGE_TOL * np.ones(50)
+    cases["steps just above tol"] = (np.cumsum(steps), np.full(50, 0.02))
+    return cases
+
+
+def _near_tie_supports():
+    cases = {}
+    base = 0.6 * np.arange(20.0)
+    probs = np.full(20, 0.05)
+    for name, j, shift in (("step at tol", 0, MERGE_TOL), ("step below tol", 3, 0.4 * MERGE_TOL), ("tie", 12, 0.0)):
+        v = base.copy()
+        v[j + 1] = v[j] + shift
+        cases[name] = (v, probs)
+    cases["falls once"] = (base[::-1].copy(), probs)
+    cases["nan"] = (np.array([0.0, np.nan, 1.0]), np.array([0.5, 0.0, 0.5]))
+    return cases
+
+
+class TestDistinctSupportSkipsMerge:
+    @pytest.mark.parametrize("name, case", list({**_distinct_supports(), **_near_tie_supports()}.items()))
+    def test_bit_equal_to_merge(self, name, case):
+        values, probs = case
+        wd = WorkDistribution(values, probs)
+        want_v, want_p = merged_distribution(values, probs)
+        assert wd.support.tobytes() == want_v.tobytes()
+        assert wd.probs.tobytes() == want_p.tobytes()
+
+    @pytest.mark.parametrize("name, case", list(_distinct_supports().items()))
+    def test_distinct_support_takes_no_merge(self, name, case, monkeypatch):
+        import thermops.batteries as batteries
+
+        def no_merge(*args):
+            raise AssertionError("merge called on a support of distinct values")
+
+        monkeypatch.setattr(batteries, "_merge_support", no_merge)
+        WorkDistribution(*case)
+
+    @pytest.mark.parametrize("name, case", list(_near_tie_supports().items()))
+    def test_near_ties_fall_back_to_merge(self, name, case, monkeypatch):
+        import thermops.batteries as batteries
+
+        calls = []
+        merge = batteries._merge_support
+        monkeypatch.setattr(batteries, "_merge_support", lambda *a: calls.append(1) or merge(*a))
+        WorkDistribution(*case)
+        assert calls == [1]

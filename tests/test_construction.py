@@ -371,3 +371,83 @@ class TestSizingPowers:
         sub = oscillator_erasure_subchannels(eps)
         assert auto_battery_size(sub) == size
         assert truncation_tail(sub, size) <= 1e-12 < truncation_tail(sub, size - 1)
+
+
+def doubling_battery_size(sub, tol):
+    """Smallest N >= 2 with a small tail, by doubling from N = 2 and bisecting."""
+    lo, hi = 1, 2
+    while truncation_tail(sub, hi) > tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_tail(sub, mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def jordan_wit():
+    """Valid wit operation whose r01 = [[0.1, 0.3], [0, 0.1]] is a Jordan-like block.
+
+    ||r01^N||_1 = 0.1^N (1 + 3N) lies far above rho^N = 0.1^N, so the
+    spectral-radius guess ceil(ln tol / ln rho) falls short of the answer.
+    """
+    return WitSubchannels(
+        r00=np.array([[0.0, 0.6], [0.9, 0.0]]),
+        r01=np.array([[0.1, 0.3], [0.0, 0.1]]),
+        r10=np.array([[0.8, 0.0], [0.0, 0.2]]),
+        r11=np.array([[0.2, 0.0], [0.0, 0.8]]),
+        delta=float(np.log(2.0)),
+        beta=1.0,
+        system=EnergySpectrum((0.0, 0.0)),
+    )
+
+
+class TestSizingFromSpectralRadius:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-15])
+    def test_erasure_blocks_match_doubling_search(self, tol):
+        for eps in np.linspace(0.0, 0.4995, 67):
+            sub = oscillator_erasure_subchannels(float(eps))
+            assert auto_battery_size(sub, tol) == doubling_battery_size(sub, tol), eps
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-15])
+    def test_seeded_operations_match_doubling_search(self, seed, tol):
+        for trial in range(200):
+            sub = random_wit_subchannels(seed, trial)
+            assert auto_battery_size(sub, tol) == doubling_battery_size(sub, tol), trial
+
+    def test_zero_spectral_radius(self):
+        sub = WitSubchannels(
+            r00=np.eye(2), r01=np.zeros((2, 2)), r10=np.zeros((2, 2)), r11=np.eye(2),
+            delta=1.0, beta=1.0, system=qubit(),
+        )
+        assert auto_battery_size(sub) == 2 == doubling_battery_size(sub, 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-15])
+    def test_guess_short_of_answer(self, tol):
+        sub = jordan_wit()
+        guess = int(np.ceil(np.log(tol) / np.log(0.1)))
+        size = auto_battery_size(sub, tol)
+        assert size == doubling_battery_size(sub, tol) > guess
+        assert truncation_tail(sub, size) <= tol < truncation_tail(sub, size - 1)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_power_chain_bits_for_every_dim(self, dim):
+        m = np.random.default_rng(dim).uniform(size=(dim, dim))
+        m /= 1.0005 * m.sum(axis=0)
+        power = _power_chain(m)
+        for n in (*range(70), 705, 2777, 4097, 13829, 13830):
+            assert power(n).tobytes() == np.linalg.matrix_power(m, n).tobytes(), n
+
+    def test_two_probes_on_erasure_blocks(self, monkeypatch):
+        import thermops.construction as construction
+
+        probes = []
+        norm = construction._one_norm
+        monkeypatch.setattr(construction, "_one_norm", lambda m: probes.append(1) or norm(m))
+        for eps in (0.1, 0.48, 0.495, 0.499):
+            probes.clear()
+            auto_battery_size(oscillator_erasure_subchannels(eps))
+            assert len(probes) == 2, eps

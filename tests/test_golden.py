@@ -3,9 +3,10 @@
 Every experiment table at N = 40 (three trials where the experiment draws
 trials), one seeded `construct` channel file and report, at N = 40 and at
 the automatic N, and the `erasure stats` record at eps = 0.499,
-gamma = 0.25 (N = 13,830) are pinned by their sha256.  A refactor or a
-speed-up must keep every one of these bytes; a change that moves a number
-on purpose updates the digest here and says why.
+gamma = 0.25 (N = 13,830) and at six more cells (automatic N, N = 40 and
+beta = 2) are pinned by their sha256.  A refactor or a speed-up must keep
+every one of these bytes; a change that moves a number on purpose updates
+the digest here and says why.
 """
 
 import json
@@ -39,6 +40,17 @@ CONSTRUCT_DIGESTS = {
 }
 
 ERASURE_STATS_DIGEST = "5a456d89ddd366fbbf6e98947552c53a17c6e45a453c16783b483fd3a8b376a2"
+
+# `erasure stats` records of more cells, keyed by their arguments: exit code
+# (1 where the short ladder misses the closed forms) and sha256 of the output.
+ERASURE_CELL_DIGESTS = {
+    ("0.48", "0"): (0, "fcb71f7b7cbb06484a440d40c15d8d038e483280c9cd7ac653a3799c9dfadb87"),
+    ("0.3", "0.2"): (0, "75ce3d71a9b70b4a9c81b1c65f57536b0f2611b6fc05dc93834fcfeca3406287"),
+    ("0.48", "0", "--num-quanta", "40"): (0, "23eec170cb3f65cc4f0660fa1a126ff3e7a2714bbf0120ff12c540f7e26e7555"),
+    ("0.3", "0.2", "--num-quanta", "40"): (1, "cd6d71ceb23d3f192c9fd0d47fd72a44399d97a3d53734dfffa9945d4021b20f"),
+    ("0.499", "0.25", "--num-quanta", "40"): (1, "a13b5cf92b57688088121d8f16f2079fa65a02dd340d6c4fe4d23f25b927afce"),
+    ("0.48", "0.1", "--beta", "2"): (0, "cc5d7321b46e9bf0096c62f9ab24a40c82259bd56e89caad1b64cae11ae0b1e0"),
+}
 
 
 def _small_overrides(name: str) -> dict:
@@ -87,6 +99,12 @@ def erasure_stats_digest(capsys) -> str:
     return sha256_text(capsys.readouterr().out)
 
 
+def erasure_cell_digest(capsys, eps: str, gamma: str, *extra: str) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main(["erasure", "stats", "--eps", eps, "--gamma", gamma, *extra])
+    return code, sha256_text(capsys.readouterr().out)
+
+
 def test_experiment_tables():
     assert table_digests() == TABLE_DIGESTS
 
@@ -97,3 +115,8 @@ def test_construct_channel_and_report(tmp_path):
 
 def test_erasure_stats(capsys):
     assert erasure_stats_digest(capsys) == ERASURE_STATS_DIGEST
+
+
+@pytest.mark.parametrize("args", sorted(ERASURE_CELL_DIGESTS))
+def test_erasure_cells(capsys, args):
+    assert erasure_cell_digest(capsys, *args) == ERASURE_CELL_DIGESTS[args]

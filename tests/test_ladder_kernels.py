@@ -5,6 +5,7 @@ takes each kernel's dense body.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,26 @@ def test_conditional_band_past_the_float_range_of_the_gap():
     band = conditional_jarzynski_band(ch, np.arange(5))
     assert_allclose(band, [1.0 + np.exp(-0.5), 0.0, 0.0, 0.0, 0.0], rtol=1e-15, atol=0)
     assert_allclose(band, conditional_jarzynski_band(dense_copy(ch), np.arange(5)), rtol=1e-12, atol=0)
+
+
+def test_residuals_past_the_float_range_of_the_gap():
+    """beta delta = 800: the Gibbs rows are finite and equal the dense rows, with no warning.
+
+    The operation is rightly invalid as a ladder: every level k' >= 1
+    receives only e^{-beta delta} of its Gibbs weight, so its row residual is 1.
+    """
+    sys = EnergySpectrum((0.0, 0.5), "sys")
+    zero = np.zeros((2, 2))
+    sub = WitSubchannels(r00=np.eye(2), r01=zero, r10=np.eye(2), r11=zero, delta=800.0, beta=1.0, system=sys)
+    ch = LadderChannel(sub, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = validate(ch)
+    ref = validate(dense_copy(ch))
+    assert not fast.ok and not ref.ok
+    assert fast.max_gibbs_residual == ref.max_gibbs_residual == 1.0
+    assert_array_equal(fast.row_residuals, ref.row_residuals)
+    assert_array_equal(fast.column_residuals, ref.column_residuals)
 
 
 @pytest.mark.parametrize("n", [n for n in SIZES if n >= 2])  # the extension starts at N = 2
