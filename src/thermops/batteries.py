@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import LadderChannel, ThermalChannel, WitSubchannels, apply, battery_marginal
 from .errors import DimensionMismatch, DomainError, PreconditionViolated
-from .spectra import DiagonalState
+from .spectra import DiagonalState, dot
 
 MERGE_TOL = 1e-12
 
@@ -232,12 +232,12 @@ def work_distribution(
 
 
 def average_work(wd: WorkDistribution) -> float:
-    return float(wd.support @ wd.probs)
+    return dot(wd.support, wd.probs)
 
 
 def variance(wd: WorkDistribution) -> float:
     mean = average_work(wd)
-    return float(wd.probs @ (wd.support - mean) ** 2)
+    return dot(wd.probs, (wd.support - mean) ** 2)
 
 
 def f1_measure(wd: WorkDistribution) -> float:
@@ -259,7 +259,7 @@ def battery_energy_change(
     out = apply(channel, sys, bat)
     out_bat = battery_marginal(out, channel.d_out, channel.n_battery)
     eps = channel.battery.array
-    return float(eps @ out_bat - eps @ bat.probs)
+    return dot(eps, out_bat) - dot(eps, bat.probs)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .spectra import (
     DiagonalState,
     EnergySpectrum,
     check_beta,
+    dot,
     free_energy,
     logsumexp,
     partition_function,
@@ -164,7 +165,7 @@ def battery_mean_energy(battery: EnergySpectrum, beta: float) -> float:
     check_beta(beta)
     logw = -beta * battery.array
     p = np.exp(logw - logsumexp(logw))
-    return float((p / p.sum()) @ battery.array)
+    return dot(p / p.sum(), battery.array)
 
 
 def eta_derivative(battery: EnergySpectrum, beta: float, k: int) -> float:
@@ -225,7 +226,7 @@ def theorem2_bound(
 
     ks = np.arange(k_min, channel.n_battery)
     delta_ks = (ks - k_min + 1) * delta
-    tail = float(bat.probs[k_min:] @ np.exp(-beta * delta_ks))
+    tail = dot(bat.probs[k_min:], np.exp(-beta * delta_ks))
     b_main = np.log1p(tail) / beta
     b_appendix = np.log1p(eta_s * tail) / beta
 

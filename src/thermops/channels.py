@@ -8,12 +8,13 @@ Gibbs weight vectors (fixed-point condition), which is the channel-level
 form of Gibbs-stochasticity.
 
 A wit operation (`WitSubchannels`) is valid by construction, and its
-two-level channel is the N = 1 `LadderChannel`.  A `LadderChannel` keeps
-the O(N) distinct blocks of the completed ladder and builds its dense
-matrix only on demand: `validate`, `apply` and `extract_subchannels` (and
-the work and bound kernels elsewhere) each take one branch at their top
-to a body that reads the blocks, while their dense bodies serve every
-other channel, such as one read from a file.
+two-level channel is the N = 1 `LadderChannel`.  A `LadderChannel` is its
+wit blocks and N.  The O(N) distinct blocks of the completed ladder,
+`block_stack`, are built on first read, by `validate`, `extract_subchannels`
+or the dense `matrix`; `apply` and the work and bound kernels elsewhere
+read only the wit blocks.  Each of these kernels takes one branch at its
+top to the ladder body, while its dense body serves every other channel,
+such as one read from a file.
 """
 
 from __future__ import annotations
@@ -331,6 +332,12 @@ def extract_subchannels(channel: ThermalChannel, k: int, k_prime: int) -> np.nda
     return channel.blocks()[:, k_prime, :, k].copy()
 
 
+def _unit_row(i: int, dim: int) -> list[float]:
+    row = [0.0] * dim
+    row[i] = 1.0
+    return row
+
+
 def random_gibbs_stochastic(
     sys: EnergySpectrum,
     battery: EnergySpectrum,
@@ -348,19 +355,29 @@ def random_gibbs_stochastic(
     if num_mixes < 0:
         raise DomainError("num_mixes must be >= 0")
     rng = np.random.default_rng(seed)
-    g = gibbs_weights(joint_spectrum(sys, battery), beta)
+    g = gibbs_weights(joint_spectrum(sys, battery), beta).tolist()
     dim = len(g)
-    m = np.eye(dim)
+    if num_mixes and dim < 2:
+        raise DomainError(f"a beta-swap needs at least two joint levels, got {dim}")
+    # The rows a swap has touched, as lists of Python floats (cheaper than
+    # numpy calls on rows of a few entries); every other row is still a unit
+    # row.  Each entry is two rounded products and their rounded sum, so the
+    # matrix has the bits of the same update done on numpy rows.
+    rows: dict[int, list[float]] = {}
     for _ in range(num_mixes):
-        a, b = rng.choice(dim, size=2, replace=False)
+        a, b = rng.choice(dim, size=2, replace=False).tolist()
         if g[a] < g[b]:
             a, b = b, a
         lam = float(rng.uniform())
         ratio = g[b] / g[a]
-        row_a = m[a].copy()
-        row_b = m[b].copy()
-        m[a] = (1.0 - lam * ratio) * row_a + lam * row_b
-        m[b] = lam * ratio * row_a + (1.0 - lam) * row_b
+        row_a = rows.get(a) or _unit_row(a, dim)
+        row_b = rows.get(b) or _unit_row(b, dim)
+        keep_a, move_a, keep_b = 1.0 - lam * ratio, lam * ratio, 1.0 - lam
+        rows[a] = [keep_a * x + lam * y for x, y in zip(row_a, row_b)]
+        rows[b] = [move_a * x + keep_b * y for x, y in zip(row_a, row_b)]
+    m = np.eye(dim)
+    for i, row in rows.items():
+        m[i] = row
     m.setflags(write=False)
     return ThermalChannel(m, sys, sys, battery, beta)
 
@@ -478,22 +495,26 @@ class LadderChannel(ThermalChannel):
 
     Built only from the wit blocks `sub` and an integer N = `num_quanta` >= 1
     (see construction.py for the block layout); N = 1 is the wit channel
-    itself.  The channel is its O(N) distinct d x d blocks, `block_stack`:
+    itself, and construction stores nothing else.  The channel's O(N)
+    distinct d x d blocks, `block_stack`, are
 
       r00 r01^i (i < N), r01^N, r00 r01^i r11 (i < N-1), r01^j r11 (0 < j < N),
       r10, r11, and a zero block,
 
     at the indices `block_ids` gives each (k -> k') pair; the r01 powers are
     a sequential chain and every other family one batched product over
-    them.  Every kernel in the package reads a LadderChannel from these
-    blocks or from the wit blocks, in O(N d^2) time and memory, except the
-    scanned ETI windows.  `matrix` is assembled
-    by one strided copy only when first read, then kept read-only; it is
-    byte-identical to the earlier eager assembly.  Every interior band is
-    filled from one stored block, so translation invariance above the
-    vacuum and below the top row holds exactly, and `check_eti` does not
-    scan that window.  A foreign matrix cannot be attached: positional
-    construction from a matrix and `dataclasses.replace` raise TypeError.
+    them.  The stack is built on first read, by `validate` (and so
+    `verify_extension`), `extract_subchannels` or `matrix`, then kept
+    read-only.  `apply`, `conditional_band` and the work and bound kernels
+    read only the wit blocks.  Every kernel in the package runs in
+    O(N d^2) time and memory, except the scanned ETI windows.  `matrix` is
+    assembled from the stack by one strided copy only when first read, then
+    kept read-only; it is byte-identical to the earlier eager assembly.
+    Every interior band is filled from one stored block, so translation
+    invariance above the vacuum and below the top row holds exactly, and
+    `check_eti` does not scan that window.  A foreign matrix cannot be
+    attached: positional construction from a matrix and
+    `dataclasses.replace` raise TypeError.
     """
 
     sub: WitSubchannels
@@ -504,21 +525,7 @@ class LadderChannel(ThermalChannel):
             raise TypeError("a LadderChannel is built from WitSubchannels and num_quanta")
         if not isinstance(num_quanta, (int, np.integer)) or num_quanta < 1:
             raise DomainError(f"num_quanta must be an integer >= 1, got {num_quanta!r}")
-        d, n = sub.dim, num_quanta
-
-        # The r01 powers are a sequential chain; every other family of blocks
-        # is one batched product over them, the same bits as `@` block by block.
-        powers = np.empty((n + 1, d, d))
-        powers[0] = np.eye(d)
-        for i in range(n):
-            np.matmul(powers[i], sub.r01, out=powers[i + 1])
-        stack = np.empty((3 * n + 2, d, d))
-        np.matmul(sub.r00, powers[:n], out=stack[:n])  # r00 r01^i
-        stack[n] = powers[n]
-        np.matmul(stack[: n - 1], sub.r11, out=stack[n + 1 : 2 * n])  # r00 r01^i r11
-        np.matmul(powers[1:n], sub.r11, out=stack[2 * n : 3 * n - 1])  # r01^j r11
-        stack[3 * n - 1], stack[3 * n], stack[3 * n + 1] = sub.r10, sub.r11, 0.0
-        stack.setflags(write=False)
+        n = num_quanta
         fields = {
             "sys_in": sub.system,
             "sys_out": sub.system,
@@ -526,13 +533,13 @@ class LadderChannel(ThermalChannel):
             "beta": sub.beta,
             "sub": sub,
             "num_quanta": n,
-            "block_stack": stack,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # Copies and pickles rebuild the blocks from the wit operation.
+        # Copies and pickles keep only the wit operation and N; the block
+        # stack and the matrix are built again when first read.
         return LadderChannel, (self.sub, self.num_quanta)
 
     def __repr__(self) -> str:
@@ -550,6 +557,27 @@ class LadderChannel(ThermalChannel):
             [kps, r10, n + 1 + kps - ks, 3 * n - 1 - ks, r11],
             default=zero,
         )
+
+    @cached_property
+    def block_stack(self) -> np.ndarray:
+        """The (3N + 2, d, d) stack of distinct blocks, built on first read and then kept read-only."""
+        sub, d, n = self.sub, self.sub.dim, self.num_quanta
+        # The r01 powers are a sequential chain, each step one `ndarray.dot`
+        # (the same BLAS product as matmul, called more cheaply); every other
+        # family of blocks is one batched product over them, the same bits
+        # as `@` block by block.
+        powers = np.empty((n + 1, d, d))
+        powers[0] = np.eye(d)
+        for i in range(n):
+            powers[i].dot(sub.r01, out=powers[i + 1])
+        stack = np.empty((3 * n + 2, d, d))
+        np.matmul(sub.r00, powers[:n], out=stack[:n])  # r00 r01^i
+        stack[n] = powers[n]
+        np.matmul(stack[: n - 1], sub.r11, out=stack[n + 1 : 2 * n])  # r00 r01^i r11
+        np.matmul(powers[1:n], sub.r11, out=stack[2 * n : 3 * n - 1])  # r01^j r11
+        stack[3 * n - 1], stack[3 * n], stack[3 * n + 1] = sub.r10, sub.r11, 0.0
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -17,9 +17,10 @@ above the vacuum (threshold level 1) but necessarily breaks at the top
 row, the mirror image of the vacuum.  The map is fully described by O(N)
 distinct d x d blocks: r00 r01^i, r01^N, r00 r01^i r11, r01^j r11, r10 and
 r11.  `extend_to_oscillator` returns a `LadderChannel`, which keeps just
-these blocks, built from the four wit blocks and N; its validation,
-application, work statistics, audits and conditional averages read them,
-and its dense matrix is assembled only when read.  Each interior band is
+the four wit blocks and N.  Its validation, block extraction and dense
+matrix build these blocks on first read; its application, work statistics
+and conditional averages read only the wit blocks, and its dense matrix is
+assembled only when read.  Each interior band is
 one stored block, so interior invariance holds by construction and
 `check_eti` does not re-scan it; the dense scan serves every other window
 and every other channel.
@@ -53,8 +54,9 @@ from .spectra import DiagonalState
 TAIL_TOL = 1e-12
 # Largest automatic battery size `thermops construct` accepts: it writes the
 # ladder's dense matrix, 128 MB at d = 2.  A LadderChannel assembles that
-# matrix only when it is read; every other ladder kernel works from the O(N)
-# blocks and has no size limit.
+# matrix only when it is read, and its O(N) block stack only when `validate`,
+# `extract_subchannels` or the matrix reads it; every other ladder kernel
+# works from the wit blocks and has no size limit.
 MAX_BATTERY_SIZE = 2000
 # Spectral radius of r01 at or above 1 - SERIES_MARGIN counts as divergent.
 SERIES_MARGIN = 1e-10

@@ -261,6 +261,8 @@ def run_oracle_feasibility(cfg: dict[str, Any]) -> ExperimentResult:
     """Curve criterion vs LP transport feasibility on random instances."""
     res = ExperimentResult("oracle-feasibility", "transport-order-equivalence", cfg)
     seed, trials, max_dim, beta = cfg["seed"], cfg["trials"], cfg["max_dim"], cfg["beta"]
+    if max_dim < 2:
+        raise DomainError(f"max_dim = {max_dim}: the instances need at least two levels")
     rows = []
     disagreements = 0
     feasible_count = 0

@@ -26,6 +26,9 @@ from .errors import (
 EXP_GUARD = 700.0
 
 PROB_SUM_TOL = 1e-12
+# OpenBLAS runs a dot product of more than this many terms on several
+# threads, and the partial sums then depend on the thread count.
+SERIAL_DOT_MAX = 10_000
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -35,6 +38,18 @@ def logsumexp(a: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b for 1-D vectors, with bits that do not depend on the BLAS thread count.
+
+    Up to SERIAL_DOT_MAX terms this is `@`, which BLAS runs on one thread at
+    any thread count; longer vectors take numpy's pairwise sum of the
+    products, which uses no threads.
+    """
+    if len(a) <= SERIAL_DOT_MAX:
+        return float(a @ b)
+    return float((a * b).sum())
 
 
 def binary_entropy(x: float) -> float:
@@ -217,7 +232,7 @@ def gibbs_weights(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
 def free_energy(state: DiagonalState, beta: float) -> float:
     """F = <E> - S/beta with S = -sum p ln p (0 ln 0 = 0)."""
     p = state.probs
-    energy = float(p @ state.spectrum.array)
+    energy = dot(p, state.spectrum.array)
     nz = p[p > 0]
     entropy = float(-np.sum(nz * np.log(nz)))
     return energy - entropy / beta

@@ -27,7 +27,14 @@ from thermops.errors import (
     NonUniformBattery,
 )
 from thermops.experiments import random_wit_subchannels, thermalization_subchannels
-from thermops.spectra import DiagonalState, EnergySpectrum, gibbs_state, logsumexp
+from thermops.spectra import (
+    DiagonalState,
+    EnergySpectrum,
+    gibbs_state,
+    gibbs_weights,
+    joint_spectrum,
+    logsumexp,
+)
 
 LN2 = np.log(2.0)
 
@@ -353,6 +360,52 @@ class TestRandomGibbsStochastic:
         a = random_gibbs_stochastic(small_sys(), ladder(), 1.0, seed=123, num_mixes=20)
         b = random_gibbs_stochastic(small_sys(), ladder(), 1.0, seed=123, num_mixes=20)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_one_level_space_refused(self):
+        none = EnergySpectrum((0.0,), "none")
+        with pytest.raises(DomainError):
+            random_gibbs_stochastic(EnergySpectrum((0.3,)), none, 1.0, seed=1, num_mixes=1)
+        ch = random_gibbs_stochastic(EnergySpectrum((0.3,)), none, 1.0, seed=1, num_mixes=0)
+        assert np.array_equal(ch.matrix, np.eye(1))
+
+    def test_matches_numpy_row_reference(self):
+        rng = np.random.default_rng(24)
+        cases = 0
+        for d in range(1, 9):
+            for beta in (0.1, 1.0, 5.0, 20.0):
+                for tied in (False, True):
+                    levels = np.sort(rng.uniform(0.0, 1.0, d))
+                    if tied:  # repeated levels give equal Gibbs weights
+                        levels = np.round(levels, 1)
+                    sys = EnergySpectrum(tuple(levels))
+                    wit = EnergySpectrum.wit(float(rng.uniform(0.5, 2.0)))
+                    for battery in (wit, EnergySpectrum((0.0,), "none")):
+                        num_mixes = int(rng.integers(0, 81)) if d * len(battery) > 1 else 0
+                        seed = int(rng.integers(2**31))
+                        ch = random_gibbs_stochastic(sys, battery, beta, seed, num_mixes)
+                        ref = numpy_row_swaps(sys, battery, beta, seed, num_mixes)
+                        assert ch.matrix.tobytes() == ref.tobytes(), (d, beta, tied, len(battery), num_mixes)
+                        cases += 1
+        assert cases == 128
+
+
+def numpy_row_swaps(sys, battery, beta, seed, num_mixes):
+    """Reference: random_gibbs_stochastic's matrix composed on numpy rows, as it once was."""
+    rng = np.random.default_rng(seed)
+    g = gibbs_weights(joint_spectrum(sys, battery), beta)
+    dim = len(g)
+    m = np.eye(dim)
+    for _ in range(num_mixes):
+        a, b = rng.choice(dim, size=2, replace=False)
+        if g[a] < g[b]:
+            a, b = b, a
+        lam = float(rng.uniform())
+        ratio = g[b] / g[a]
+        row_a = m[a].copy()
+        row_b = m[b].copy()
+        m[a] = (1.0 - lam * ratio) * row_a + lam * row_b
+        m[b] = lam * ratio * row_a + (1.0 - lam) * row_b
+    return m
 
 
 class TestWitSubchannels:

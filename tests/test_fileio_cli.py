@@ -250,6 +250,14 @@ class TestCliErrors:
         assert main(["erasure", "stats", "--eps", "0.1", "--gamma", "0.25", "--num-quanta", "1"]) == 2
         assert _error_record(capsys)["error"] == "DomainError"
 
+    def test_oracle_feasibility_with_one_level(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("max_dim = 1\n")
+        assert main(["run", "oracle-feasibility", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "max_dim" in record["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_certify_with_empty_band(self, tmp_path, capsys):
         assert main(["run", "certify-thm1", "--num-quanta", "3", "--out", str(tmp_path / "o")]) == 2
         assert "band" in _error_record(capsys)["message"]

@@ -10,9 +10,14 @@ the digest here and says why.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermops
 from thermops.cli import main
 from thermops.experiments import EXPERIMENTS, random_wit_subchannels, run_experiment
 from thermops.fileio import sha256_text
@@ -39,7 +44,12 @@ CONSTRUCT_DIGESTS = {
     "auto/report": "4f128555d49c02a87b446ba6078d44711ab4e565d2ac15c5abf0cd713bb2254d",
 }
 
-ERASURE_STATS_DIGEST = "5a456d89ddd366fbbf6e98947552c53a17c6e45a453c16783b483fd3a8b376a2"
+# The record's averages are dot products of N + 2 = 13,832 terms, taken by
+# spectra.dot as numpy's pairwise sum, so that the bytes do not depend on the
+# BLAS thread count.  Its avg_sim, 0.24825183083686203, is the correctly
+# rounded sum of the products (math.fsum gives the same); the BLAS dot
+# product gave 0.24825183083686206 on one and two threads.
+ERASURE_STATS_DIGEST = "4fff92b670f3828058872f9c692cd753bf807c4202610a26a2a4f0accbe282b9"
 
 # `erasure stats` records of more cells, keyed by their arguments: exit code
 # (1 where the short ladder misses the closed forms) and sha256 of the output.
@@ -115,6 +125,21 @@ def test_construct_channel_and_report(tmp_path):
 
 def test_erasure_stats(capsys):
     assert erasure_stats_digest(capsys) == ERASURE_STATS_DIGEST
+
+
+def test_erasure_stats_independent_of_blas_threads():
+    src = str(Path(thermops.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermops", "erasure", "stats", "--eps", "0.499", "--gamma", "0.25"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("args", sorted(ERASURE_CELL_DIGESTS))

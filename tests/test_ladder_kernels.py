@@ -4,6 +4,8 @@ The dense side is a plain ThermalChannel holding the ladder's matrix, so it
 takes each kernel's dense body.
 """
 
+import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -13,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from referee import FOUR_ULP, relative_error
 from referee import conditional_band as referee_band
 
+import thermops.experiments as experiments
 from thermops.batteries import work_distribution
 from thermops.bounds import conditional_jarzynski_band, theorem1_certify, theorem2_bound
 from thermops.channels import (
@@ -239,3 +242,84 @@ class TestNoDenseMatrix:
         assert np.isfinite(report.validation.max_stochasticity_residual)
         assert np.isfinite(second_law.slack) and second_law.slack >= 0.0
         assert abs(wd.probs.sum() - 1.0) <= 1e-12 and abs(out.probs.sum() - 1.0) <= 1e-12
+
+
+def eager_block_stack(sub, n):
+    """Reference: the stack LadderChannel built at construction, its r01 chain through np.matmul."""
+    d = sub.dim
+    powers = np.empty((n + 1, d, d))
+    powers[0] = np.eye(d)
+    for i in range(n):
+        np.matmul(powers[i], sub.r01, out=powers[i + 1])
+    stack = np.empty((3 * n + 2, d, d))
+    np.matmul(sub.r00, powers[:n], out=stack[:n])
+    stack[n] = powers[n]
+    np.matmul(stack[: n - 1], sub.r11, out=stack[n + 1 : 2 * n])
+    np.matmul(powers[1:n], sub.r11, out=stack[2 * n : 3 * n - 1])
+    stack[3 * n - 1], stack[3 * n], stack[3 * n + 1] = sub.r10, sub.r11, 0.0
+    return stack
+
+
+class TestBlockStackOnDemand:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 3000])
+    def test_stack_is_the_eager_stack(self, n):
+        for dim in range(1, 10):
+            for seed in range(2):
+                ch = LadderChannel(seeded_wit(dim, seed), n)
+                assert "block_stack" not in vars(ch)
+                stack = ch.block_stack
+                assert stack.tobytes() == eager_block_stack(ch.sub, n).tobytes(), (dim, seed)
+                assert ch.block_stack is stack and not stack.flags.writeable
+
+    def test_kernels_that_leave_the_stack_unbuilt(self):
+        rng = np.random.default_rng(5)
+        sub, n = seeded_wit(3, 2), 40
+        ch = extend_to_oscillator(sub, n)
+        x, bats = _states(sub, n, rng)
+        assert "block_stack" not in vars(ch)
+        theorem1_certify(ch, x, k_min=1)
+        theorem2_bound(ch, x, bats[-1], k_min=1)
+        for bat in bats:
+            work_distribution(ch, x, bat)
+            apply(ch, x, bat)
+        ch.conditional_band()
+        assert "block_stack" not in vars(ch) and "matrix" not in vars(ch)
+
+    @pytest.mark.parametrize("name", ["certify-thm1", "certify-thm2", "certify-thm4"])
+    def test_sweeps_leave_the_stack_unbuilt(self, monkeypatch, name):
+        built = []
+
+        def extend(sub, n):
+            built.append(extend_to_oscillator(sub, n))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "extend_to_oscillator", extend)
+        assert experiments.run_experiment(name, {"trials": 3, "num_quanta": 40}).passed
+        assert len(built) == 3
+        assert not any("block_stack" in vars(ch) for ch in built)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            validate,
+            verify_extension,
+            lambda ch: extract_subchannels(ch, 2, 3),
+            lambda ch: ch.matrix,
+        ],
+        ids=["validate", "verify_extension", "extract_subchannels", "matrix"],
+    )
+    def test_readers_build_the_stack(self, read):
+        ch = extend_to_oscillator(seeded_wit(2, 1), 6)
+        read(ch)
+        assert "block_stack" in vars(ch)
+
+    def test_copies_round_trip(self):
+        ch = extend_to_oscillator(seeded_wit(3, 0), 7)
+        copies = [copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))]
+        stack = ch.block_stack
+        copies += [copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))]
+        for other in copies:
+            assert type(other) is LadderChannel and other.num_quanta == 7
+            assert "block_stack" not in vars(other)
+            assert other.block_stack.tobytes() == stack.tobytes()
+            assert other.matrix.tobytes() == ch.matrix.tobytes()
