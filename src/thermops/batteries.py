@@ -18,6 +18,10 @@ j = 0 that is the r11 block of column N).  `ladder_work_distribution`
 evaluates these from the vector recursions r01^j x and r01^j r11 x in
 O(N d^2) time, without forming the (d(N+1))^2 matrix; at N = 1 they are
 the four blocks of the wit channel.
+
+Any other channel (one read from a file, say) takes the dense body of
+`work_distribution`, whose (N+1)^2 works WorkDistribution merges with a
+plain reference loop over the sorted values.
 """
 
 from __future__ import annotations
@@ -34,59 +38,17 @@ from .spectra import DiagonalState, dot
 MERGE_TOL = 1e-12
 
 
-def _group_starts(v: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the group leaders of sorted values under the leader rule.
-
-    A value joins the current group when v - leader <= tol, else it leads a
-    new one.  A step above tol always starts a group, because rounding is
-    monotone and v - leader >= v - v_prev.  Within a run of steps <= tol a
-    new leader is needed only if the run spans more than tol.  Only such
-    runs (chained near-ties, rare in practice) are walked value by value.
-    """
-    cut = np.flatnonzero(~(np.diff(v) <= tol)) + 1
-    starts = np.concatenate(([0], cut))
-    ends = np.append(cut, len(v))
-    wide = np.flatnonzero(~(v[ends - 1] - v[starts] <= tol))
-    if wide.size == 0:
-        return starts
-    extra = []
-    for lo, hi in zip(starts[wide], ends[wide]):
-        lead = lo
-        for j in range(lo + 1, hi):
-            if not v[j] - v[lead] <= tol:
-                extra.append(j)
-                lead = j
-    return np.sort(np.concatenate((starts, extra))).astype(np.intp)
-
-
 def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """WorkDistribution's leader rule, one sorted value at a time; masses add left to right."""
     order = np.argsort(values, kind="stable")
-    v = values[order]
-    p = probs[order]
-    if v.size == 0:
-        return v, p
-    starts = _group_starts(v, tol)
-    sizes = np.diff(np.append(starts, len(v)))
-    sums = np.empty(len(starts))
-    # Each group's masses are added left to right: a padded row-wise cumsum
-    # is strictly sequential, where np.sum and np.add.reduceat sum blocks of
-    # eight pairwise.  Rows are padded to the next power of two of their
-    # group's size, one class of widths at a time, so the padding stays below
-    # twice the input.
-    width_class = np.frexp(sizes - 1)[1]  # 2**class is the least power of two >= size
-    for c in np.flatnonzero(np.bincount(width_class)):
-        rows = np.flatnonzero(width_class == c)
-        if c == 0:  # groups of one mass, such as a ladder's N + 2 distinct works
-            sums[rows] = p[starts[rows]]
-            continue
-        width = 1 << int(c)
-        cols = np.arange(width)
-        filled = cols < sizes[rows, None]
-        padded = np.zeros((len(rows), width))
-        padded[filled] = p[(starts[rows, None] + cols)[filled]]
-        np.cumsum(padded, axis=1, out=padded)
-        sums[rows] = padded[np.arange(len(rows)), sizes[rows] - 1]
-    return v[starts], sums
+    out_v, out_p = [], []
+    for v, p in zip(values[order].tolist(), probs[order].tolist()):
+        if out_v and v - out_v[-1] <= tol:
+            out_p[-1] += p
+        else:
+            out_v.append(v)
+            out_p.append(p)
+    return np.array(out_v, dtype=float), np.array(out_p, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ and the average work obeys
 where A collects the vacuum-regime contribution and B decays
 exponentially with the distance of the battery state to the threshold.
 B is certified in its larger (eta_S-weighted) variant; both are reported.
+
+A LadderChannel's conditional averages come from its wit blocks; any
+other channel takes a plain reference loop, one log-sum-exp per level.
 """
 
 from __future__ import annotations
@@ -32,23 +35,17 @@ from .spectra import (
 )
 
 THEOREM_TOL = 1e-10
-# Battery levels per chunk of conditional_jarzynski_band on a dense channel:
-# the working copy holds BAND_COLUMNS columns of the matrix.
-BAND_COLUMNS = 64
 
 
 def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
     """<e^{beta(w - f_s)}>_k for every battery level k in `ks`, in that order.
 
     A LadderChannel reads every level from its wit blocks in O(N d^2)
-    (LadderChannel.conditional_band).  On any other channel each level's
-    value is a log-sum-exp over its column's terms
-    log r(s'k'|sk) + beta (eps_k' - eps_k) - beta E_s, with the exact
-    cancellation p(s) e^{-beta f_s} = e^{-beta E_s}, which also covers
-    zero-probability levels.  The terms of a column are gathered
-    contiguously in (s', k', s) order and summed along that row, as
-    spectra.logsumexp sums them.  Columns are taken BAND_COLUMNS at a time,
-    so the working copy stays a small slice of the matrix.
+    (LadderChannel.conditional_band).  Any other channel takes one
+    spectra.logsumexp per level over its column's terms
+    log r(s'k'|sk) + beta (eps_k' - eps_k) - beta E_s in (s', k', s) order,
+    with the exact cancellation p(s) e^{-beta f_s} = e^{-beta E_s}, which
+    also covers zero-probability levels.
     """
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
     if ks.size and not (0 <= ks.min() and ks.max() < channel.n_battery):
@@ -56,28 +53,17 @@ def conditional_jarzynski_band(channel: ThermalChannel, ks) -> np.ndarray:
         raise IndexOutOfRange(f"battery level {bad} outside 0..{channel.n_battery - 1}")
     if isinstance(channel, LadderChannel):
         return channel.conditional_band()[ks]
-    by_column = channel.blocks().transpose(3, 0, 1, 2)  # [k, s', k', s]
+    r4 = channel.blocks()  # [s', k', s, k]
     eps = channel.battery.array
     beta = channel.beta
-    # The energy terms as rows over (k', s), so each add runs along a whole
-    # row rather than broadcasting over the d_in-long last axis.
-    sys_term = np.tile(beta * channel.sys_in.array, channel.n_battery)
+    sys_term = beta * channel.sys_in.array
     out = np.empty(len(ks))
-    for lo in range(0, len(ks), BAND_COLUMNS):
-        chunk = ks[lo : lo + BAND_COLUMNS]
-        r = by_column[chunk]  # a contiguous copy, one column per row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
-            blocks = terms.reshape(len(chunk), channel.d_out, -1)
-            blocks += np.repeat(beta * (eps[None, :] - eps[chunk, None]), channel.d_in, axis=1)[:, None, :]
-            blocks -= sys_term
-            rows = terms.reshape(len(chunk), -1)
-            top = rows.max(axis=1)
-            finite = np.isfinite(top)
-            rows -= np.where(finite, top, 0.0)[:, None]
-            np.exp(rows, out=rows)
-            log_sum = np.where(finite, top + np.log(rows.sum(axis=1)), top)
-        out[lo : lo + len(chunk)] = np.exp(log_sum)
+    for i, k in enumerate(ks):
+        r = r4[:, :, :, k]
+        terms = np.log(r, out=np.full(r.shape, -np.inf), where=r > 0)
+        terms += beta * (eps - eps[k])[:, None]
+        terms -= sys_term
+        out[i] = np.exp(logsumexp(terms))
     return out
 
 

@@ -19,6 +19,7 @@ such as one read from a file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import cached_property
@@ -433,15 +434,26 @@ class WitSubchannels:
         return gibbs_weights(self.system, self.beta)
 
     def residuals(self) -> tuple[float, float]:
-        """(max stochasticity residual, max Gibbs pair residual)."""
+        """(max stochasticity residual, max Gibbs pair residual).
+
+        Each pair residual is relative to its own target: the first pair
+        to g, the second, multiplied by e^{beta delta}, to g as well, as
+        LadderChannel.residuals scales it.
+        """
         g = self.gibbs_vector()
         e = np.exp(-self.beta * self.delta)
         stoch = max(
             float(np.max(np.abs((self.r00 + self.r01).sum(axis=0) - 1.0))),
             float(np.max(np.abs((self.r10 + self.r11).sum(axis=0) - 1.0))),
         )
+        try:
+            up = math.exp(self.beta * self.delta) * self.r01
+        except OverflowError:  # past e^{709}; the exact product keeps zero entries zero
+            up = _exp_times(self.beta, self.delta, self.r01)[0]
+            if not np.isfinite(up).all():  # an entry past the float range: far off its target
+                return stoch, math.inf
         pair0 = self.r00 @ g + e * (self.r10 @ g) - g
-        pair1 = self.r01 @ g + e * (self.r11 @ g) - e * g
+        pair1 = up @ g + self.r11 @ g - g
         gibbs = float(max(np.max(np.abs(pair0 / g)), np.max(np.abs(pair1 / g))))
         return stoch, gibbs
 

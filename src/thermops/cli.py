@@ -8,6 +8,7 @@ all of the experiment's assertions passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -198,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[flags],
         help="run a named experiment",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="experiment config keys and defaults (config-file keys must be from this set):\n"
-        + defaults_doc,
+        epilog="experiment config keys and defaults; a config-file key or flag outside an\n"
+        "experiment's set is rejected (only the seeded experiments take --seed):\n" + defaults_doc,
     )
     run_p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_p.set_defaults(fn=_cmd_run)
@@ -257,9 +258,14 @@ def _alias(args: argparse.Namespace, experiment: str) -> argparse.Namespace:
     return ns
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
     except (ThermopsError, OSError) as exc:

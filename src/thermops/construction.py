@@ -124,13 +124,22 @@ def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
     per call and shared by every probe, so a probe costs only its
     popcount(N) - 1 products of d x d blocks.
     """
+    return _battery_size_and_tail(sub, tol)[0]
+
+
+def _battery_size_and_tail(sub: WitSubchannels, tol: float = TAIL_TOL) -> tuple[int, float]:
+    """auto_battery_size and truncation_tail at that size, read from the search's own probes."""
     if not tol > 0.0:
         raise DomainError(f"tail tolerance must be positive, got {tol}")
     radius = _require_convergent(sub.r01)
     power = _power_chain(sub.r01)
+    tails: dict[int, float] = {}
 
     def small(n: int) -> bool:  # n = 1 stands for "below the least size"
-        return n >= 2 and _one_norm(power(n)) <= tol
+        if n < 2:
+            return False
+        tails[n] = _one_norm(power(n))
+        return tails[n] <= tol
 
     guess = 2
     if radius > 0.0 and tol < 1.0:  # else the bound says nothing above N = 2
@@ -151,7 +160,7 @@ def auto_battery_size(sub: WitSubchannels, tol: float = TAIL_TOL) -> int:
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, tails[hi]
 
 
 def _require_convergent(r01: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from .batteries import (
     variance,
 )
 from .channels import WitSubchannels, ladder_spectrum
-from .construction import auto_battery_size, truncation_tail
+from .construction import _battery_size_and_tail, truncation_tail
 from .errors import DomainError, PoleError
 from .spectra import DiagonalState, EnergySpectrum, binary_entropy
 
@@ -163,33 +163,36 @@ def erasure_battery_state(gamma: float, battery: EnergySpectrum) -> DiagonalStat
 
 def _erasure_ladder_work(
     eps: float, gamma: float, num_quanta: int | None, beta: float
-) -> tuple[WitSubchannels, int, WorkDistribution]:
-    """Erasure blocks, ladder size (automatic if None), and the ladder's work distribution.
+) -> tuple[WitSubchannels, int, float, WorkDistribution]:
+    """Erasure blocks, ladder size (automatic if None), its truncation tail, and its work distribution.
 
-    The ladder is never built: the work distribution comes from the wit
-    blocks in O(N), so the automatic size has no cap.
+    An automatic size comes with its tail from the size search's last
+    probe.  The ladder is never built: the work distribution comes from the
+    wit blocks in O(N), so the automatic size has no cap.
     """
     sub = oscillator_erasure_subchannels(eps, beta)
     if num_quanta is None:
-        num_quanta = auto_battery_size(sub)
+        num_quanta, tail = _battery_size_and_tail(sub)
     elif num_quanta < 2:
         raise DomainError(f"the erasure ladder needs num_quanta >= 2, got {num_quanta}")
+    else:
+        tail = truncation_tail(sub, num_quanta)
     sys = DiagonalState(np.full(2, 0.5), sub.system)
     bat = erasure_battery_state(gamma, ladder_spectrum(num_quanta, sub.delta))
-    return sub, num_quanta, ladder_work_distribution(sub, num_quanta, sys, bat)
+    return sub, num_quanta, tail, ladder_work_distribution(sub, num_quanta, sys, bat)
 
 
 def oscillator_erasure_stats(
     eps: float, gamma: float, num_quanta: int | None = None, beta: float = 1.0
 ) -> StatsReport:
     """Simulate the extended erasure channel and compare with the closed forms."""
-    sub, num_quanta, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
+    sub, num_quanta, tail, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
     return StatsReport(
         eps=eps,
         gamma=gamma,
         eps_tot=eps * (1.0 - gamma) + gamma,
         num_quanta=num_quanta,
-        tail=truncation_tail(sub, num_quanta),
+        tail=tail,
         avg_closed=oscillator_average_work(eps, gamma, beta),
         var_closed=oscillator_variance(eps, gamma, beta),
         avg_sim=average_work(wd),
@@ -242,7 +245,7 @@ def exp_cost_oscillator(
     eps: float, gamma: float, beta: float = 1.0, num_quanta: int | None = None
 ) -> ExpCostReport:
     """Direct F[p(w)] with f(x) = e^{|x|} - 1 on the extended erasure channel."""
-    sub, num_quanta, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
+    sub, num_quanta, _, wd = _erasure_ladder_work(eps, gamma, num_quanta, beta)
     cost = CostFunction(evaluator=lambda x: np.expm1(abs(x)), tag="exp")
     direct = general_cost(wd, cost)
     tail_ratio = float(np.exp(beta * sub.delta) / (2.0 * (1.0 - eps)))

@@ -1,9 +1,10 @@
-"""Named, seeded experiments behind the CLI.
+"""Named experiments behind the CLI.
 
 Each experiment is a pure function from a validated config to tables
 (CSV text), a JSON-able summary, and a list of failed assertions; the CLI
-adds file writing, hashing, and exit status.  Identical config and seed
-give byte-identical tables.
+adds file writing, hashing, and exit status.  Identical configs give
+byte-identical tables.  Only the experiments that draw at random
+(oracle-feasibility and the certify sweeps) have a `seed` key.
 """
 
 from __future__ import annotations
@@ -470,11 +471,11 @@ def run_fig4(cfg: dict[str, Any]) -> ExperimentResult:
 
 EXPERIMENTS: dict[str, tuple[dict[str, Any], Callable[[dict[str, Any]], ExperimentResult]]] = {
     "example1": (
-        {"seed": 0, "beta": 1.0, "delta": LN2, "num_quanta": 40, "k_probe": 5},
+        {"beta": 1.0, "delta": LN2, "num_quanta": 40, "k_probe": 5},
         run_example1,
     ),
-    "example2": ({"seed": 0, "beta": 1.0, "a": 0.6, "tol": 1e-12}, run_example2),
-    "example3": ({"seed": 0, "beta": 1.0, "num_quanta": 64}, run_example3),
+    "example2": ({"beta": 1.0, "a": 0.6, "tol": 1e-12}, run_example2),
+    "example3": ({"beta": 1.0, "num_quanta": 64}, run_example3),
     "oracle-feasibility": (
         {"seed": 0, "beta": 1.0, "trials": 500, "max_dim": 5},
         run_oracle_feasibility,
@@ -493,19 +494,19 @@ EXPERIMENTS: dict[str, tuple[dict[str, Any], Callable[[dict[str, Any]], Experime
     ),
     "fig2a": (
         {
-            "seed": 0, "beta": 1.0, "delta": 0.1, "eps_min": 5.0, "center": 50.0,
+            "beta": 1.0, "delta": 0.1, "eps_min": 5.0, "center": 50.0,
             "x_min": 6.0, "x_max": 48.0, "x_step": 0.5,
         },
         run_fig2a,
     ),
     "fig2b": (
         {
-            "seed": 0, "beta": 1.0, "delta": 0.1, "eps_min": 5.0, "eps_star": 50.0,
+            "beta": 1.0, "delta": 0.1, "eps_min": 5.0, "eps_star": 50.0,
             "x_min": 10.0, "x_max": 80.0, "x_step": 0.5, "fit_min": 10.0, "fit_max": 35.0,
         },
         run_fig2b,
     ),
-    "fig4": ({"seed": 0, "beta": 1.0}, run_fig4),
+    "fig4": ({"beta": 1.0}, run_fig4),
 }
 
 

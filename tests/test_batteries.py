@@ -141,6 +141,12 @@ def _merge_cases():
         if seed % 3 == 0:
             v = np.cumsum(r.uniform(0.0, 1.2 * tol, m))
         cases[f"fuzz {seed}"] = (v, r.uniform(size=m) * (r.uniform(size=m) < 0.8))
+    # A ladder's N + 2 work values, all distinct: every group is one mass.
+    rng = np.random.default_rng(41)
+    masses = rng.dirichlet(np.ones(707))
+    masses[rng.integers(0, 707, 40)] = 0.0
+    cases["distinct ladder offsets"] = (0.6 * np.arange(-1, 706), masses)
+    cases["empty"] = ([], [])
     return {name: (np.asarray(v, dtype=float), np.asarray(p, dtype=float)) for name, (v, p) in cases.items()}
 
 
@@ -169,6 +175,56 @@ class TestMergeSupport:
     def test_empty_support_rejected(self):
         with pytest.raises(DomainError, match="at least one value"):
             WorkDistribution(support=np.array([]), probs=np.array([]))
+
+
+def group_starts(v, tol):
+    """Leader indices of sorted values, found without a loop where no run of
+    steps <= tol spans more than tol (a step above tol always starts a group)."""
+    cut = np.flatnonzero(~(np.diff(v) <= tol)) + 1
+    starts = np.concatenate(([0], cut))
+    ends = np.append(cut, len(v))
+    extra = []
+    for lo, hi in zip(starts, ends):
+        if v[hi - 1] - v[lo] <= tol:
+            continue
+        lead = lo
+        for j in range(lo + 1, hi):
+            if not v[j] - v[lead] <= tol:
+                extra.append(j)
+                lead = j
+    return np.sort(np.concatenate((starts, extra))).astype(np.intp)
+
+
+def padded_cumsum_merge(values, probs, tol):
+    """The merge with every group, singletons too, summed by a padded cumsum row."""
+    order = np.argsort(values, kind="stable")
+    v, p = values[order], probs[order]
+    if v.size == 0:
+        return v, p
+    starts = group_starts(v, tol)
+    sizes = np.diff(np.append(starts, len(v)))
+    sums = np.empty(len(starts))
+    width_class = np.frexp(sizes - 1)[1]
+    for c in np.flatnonzero(np.bincount(width_class)):
+        rows = np.flatnonzero(width_class == c)
+        width = 1 << int(c)
+        cols = np.arange(width)
+        filled = cols < sizes[rows, None]
+        padded = np.zeros((len(rows), width))
+        padded[filled] = p[(starts[rows, None] + cols)[filled]]
+        np.cumsum(padded, axis=1, out=padded)
+        sums[rows] = padded[np.arange(len(rows)), sizes[rows] - 1]
+    return v[starts], sums
+
+
+class TestMergeSingletonGroups:
+    @pytest.mark.parametrize("name, case", list(_merge_cases().items()))
+    def test_bit_equal_to_padded_cumsum_for_every_group(self, name, case):
+        values, probs = case
+        got_v, got_p = _merge_support(values, probs, MERGE_TOL)
+        want_v, want_p = padded_cumsum_merge(values, probs, MERGE_TOL)
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_p.tobytes() == want_p.tobytes()
 
 
 class TestMoments:
@@ -249,51 +305,6 @@ class TestVarianceFloor:
     def test_gamma_range(self):
         with pytest.raises(DomainError):
             theorem4_check(WorkDistribution.point_mass(-1.0), 1.5)
-
-
-def padded_cumsum_merge(values, probs, tol):
-    """The merge with every group, singletons too, summed by a padded cumsum row."""
-    from thermops.batteries import _group_starts
-
-    order = np.argsort(values, kind="stable")
-    v, p = values[order], probs[order]
-    if v.size == 0:
-        return v, p
-    starts = _group_starts(v, tol)
-    sizes = np.diff(np.append(starts, len(v)))
-    sums = np.empty(len(starts))
-    width_class = np.frexp(sizes - 1)[1]
-    for c in np.flatnonzero(np.bincount(width_class)):
-        rows = np.flatnonzero(width_class == c)
-        width = 1 << int(c)
-        cols = np.arange(width)
-        filled = cols < sizes[rows, None]
-        padded = np.zeros((len(rows), width))
-        padded[filled] = p[(starts[rows, None] + cols)[filled]]
-        np.cumsum(padded, axis=1, out=padded)
-        sums[rows] = padded[np.arange(len(rows)), sizes[rows] - 1]
-    return v[starts], sums
-
-
-def _singleton_cases():
-    cases = dict(_merge_cases())
-    rng = np.random.default_rng(41)
-    # A ladder's N + 2 work values, all distinct: every group is one mass.
-    masses = rng.dirichlet(np.ones(707))
-    masses[rng.integers(0, 707, 40)] = 0.0
-    cases["distinct ladder offsets"] = (0.6 * np.arange(-1, 706), masses)
-    cases["empty"] = (np.array([]), np.array([]))
-    return cases
-
-
-class TestMergeSingletonGroups:
-    @pytest.mark.parametrize("name, case", list(_singleton_cases().items()))
-    def test_bit_equal_to_padded_cumsum_for_every_group(self, name, case):
-        values, probs = case
-        got_v, got_p = _merge_support(values, probs, MERGE_TOL)
-        want_v, want_p = padded_cumsum_merge(values, probs, MERGE_TOL)
-        assert got_v.tobytes() == want_v.tobytes()
-        assert got_p.tobytes() == want_p.tobytes()
 
 
 def chunk_loop_orbit(m, v, count):

@@ -5,7 +5,6 @@ from referee import FOUR_ULP, relative_error
 from referee import conditional_band as referee_band
 
 from thermops.bounds import (
-    BAND_COLUMNS,
     battery_mean_energy,
     conditional_jarzynski,
     conditional_jarzynski_band,
@@ -108,7 +107,7 @@ def per_column_log_sum_exp(channel, k):
 def _band_channels():
     for trial in (0, 3):  # a three-level and a two-level system
         sub = random_wit_subchannels(3, trial)
-        yield f"ladder d={sub.dim}", extend_to_oscillator(sub, 2 * BAND_COLUMNS + 20)
+        yield f"ladder d={sub.dim}", extend_to_oscillator(sub, 2 * 64 + 20)
     # A sparse channel: most columns hold a few nonzero entries.
     sysp = EnergySpectrum((0.0, 0.4, 1.1), "sys")
     yield "sparse", random_gibbs_stochastic(sysp, EnergySpectrum.oscillator(30, 0.7), 0.9, seed=8, num_mixes=20)

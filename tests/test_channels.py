@@ -436,6 +436,27 @@ class TestWitSubchannels:
                 system=EnergySpectrum.trivial(2),
             )
 
+    @pytest.mark.parametrize("delta", [30.0, 800.0])
+    def test_second_pair_residual_measured_against_its_target(self, delta):
+        """r00 = r10 = I, r01 = r11 = 0: the raised battery level keeps only
+        e^{-beta delta} of its Gibbs weight, a relative residual of 1."""
+        sys = EnergySpectrum((0.0, 0.5), "sys")
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        with pytest.raises(InvalidSubchannels, match="Gibbs pair residual 1.0"):
+            WitSubchannels(r00=eye, r01=zero, r10=eye, r11=zero, delta=delta, beta=1.0, system=sys)
+        r4 = np.zeros((2, 2, 2, 2))  # [s', k', s, k], with r_{k k'} = r4[:, k', :, k]
+        r4[:, 0, :, 0] = r4[:, 0, :, 1] = eye
+        report = validate(ThermalChannel(r4.reshape(4, 4), sys, sys, EnergySpectrum.wit(delta), 1.0))
+        assert not report.ok and report.max_gibbs_residual == 1.0
+
+    def test_second_pair_beyond_the_float_range_rejected(self):
+        """beta delta = 800: r01 entries 1e-15 and -1e-15 in one row scale to inf and -inf."""
+        sys = EnergySpectrum((0.0, 0.5), "sys")
+        r00 = np.array([[1.0 - 1e-15, 1e-15], [0.0, 1.0]])
+        r01 = np.array([[1e-15, -1e-15], [0.0, 0.0]])
+        with pytest.raises(InvalidSubchannels, match="Gibbs pair residual inf"):
+            WitSubchannels(r00, r01, np.zeros((2, 2)), np.eye(2), delta=800.0, beta=1.0, system=sys)
+
     def test_nan_blocks_rejected(self):
         sub = oscillator_erasure_subchannels(0.1)
         r01 = np.where(sub.r01 != 0.0, np.nan, 0.0)

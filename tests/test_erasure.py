@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from thermops.batteries import CostFunction, average_work, general_cost, variance, work_distribution
-from thermops.construction import extend_to_oscillator
+from thermops.construction import auto_battery_size, extend_to_oscillator, truncation_tail
 from thermops.erasure import (
     erasure_battery_state,
     exp_cost_oscillator,
@@ -156,6 +156,17 @@ class TestOscillatorStats:
             assert r.num_quanta == n
             assert r.tail <= 1e-12
             assert r.avg_rel_err < 1e-10 and r.var_rel_err < 1e-10
+
+
+    @pytest.mark.parametrize("eps, n", [(0.1, 48), (0.47, 475), (0.48, 705), (0.499, 13830)])
+    def test_automatic_size_reports_the_tail_bits(self, eps, n):
+        # The tail comes from the size search's probe at N; it must be the
+        # same float as a fresh truncation_tail at that N.
+        sub = oscillator_erasure_subchannels(eps)
+        r = oscillator_erasure_stats(eps, 0.25)
+        assert r.num_quanta == auto_battery_size(sub) == n
+        assert r.tail.hex() == truncation_tail(sub, n).hex()
+        assert oscillator_erasure_stats(eps, 0.25, num_quanta=n).tail.hex() == r.tail.hex()
 
 
 class TestExpCost:

@@ -222,6 +222,31 @@ class TestCli:
     def test_fig_alias(self, tmp_path):
         assert main(["fig4", "--out", str(tmp_path / "f")]) == 0
 
+    def test_one_parser_serves_every_subcommand(self, tmp_path, capsys, monkeypatch):
+        import thermops.cli as cli
+
+        def stats(*extra):
+            assert main(["erasure", "stats", "--eps", "0.3", "--gamma", "0.2", *extra]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        def config(name, out, *extra):
+            assert main(["run", name, "--out", str(tmp_path / out), *extra]) == 0
+            capsys.readouterr()
+            return json.loads((tmp_path / out / f"{name}_manifest.json").read_text())["config"]
+
+        stats()  # the parser exists from here on; no later call may build another
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built twice"))
+        assert stats("--num-quanta", "120")["num_quanta"] == 120
+        assert stats()["num_quanta"] == 83  # automatic again: no flag value carries over
+        assert config("example2", "a", "--a", "0.5")["a"] == 0.5
+        assert config("example2", "b")["a"] == 0.6
+        assert config("example3", "c", "--num-quanta", "16")["num_quanta"] == 16
+        assert config("fig4", "d") == {"beta": 1.0}
+        assert main(["certify", "thm4", "--trials", "2", "--json", "--out", str(tmp_path / "e")]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["trials"] == 2
+        assert main(["run", "certify-thm4", "--out", str(tmp_path / "f"), "--trials", "3"]) == 0
+        assert capsys.readouterr().out.startswith("certify-thm4: ok")
+
 
 def _error_record(capsys) -> dict:
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -293,6 +318,14 @@ class TestCliErrors:
         record = _error_record(capsys)
         assert record["error"] == "InvalidSubchannels" and "stochasticity" in record["message"]
         assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "fig2a", "fig2b", "fig4"])
+    def test_seed_on_an_experiment_that_draws_nothing(self, tmp_path, capsys, name):
+        assert main(["run", name, "--seed", "7", "--out", str(tmp_path / "o")]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError"
+        assert f"unknown config keys for {name}: ['seed']" in record["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_experiment_flag_it_does_not_take(self, tmp_path, capsys):
         assert main(["fig4", "--trials", "3", "--out", str(tmp_path / "o")]) == 2
