@@ -28,6 +28,7 @@ from .channels import (
 from .feasibility import (
     ThermoCurve,
     lp_feasible_transport,
+    lp_transport_residual,
     min_formation_gap,
     thermo_curve,
     thermo_majorizes,

@@ -339,6 +339,62 @@ def _unit_row(i: int, dim: int) -> list[float]:
     return row
 
 
+def _raw_words(bit_generator: np.random.BitGenerator, block: int):
+    """The generator's 64-bit output words, fetched `block` at a time."""
+    while True:
+        yield from bit_generator.random_raw(block).tolist()
+
+
+def _halves(words, half: int | None):
+    """numpy's 32-bit draws: a new word's low half, then its high half at the next draw."""
+    if half is not None:
+        yield half
+    for word in words:
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _bounded(halves, high: int) -> int:
+    """Lemire's draw on 0..high (ACM TOMACS 29(1), 3 (2019)), as numpy makes it."""
+    if high == 0:
+        return 0
+    span = high + 1
+    m = next(halves) * span
+    if m & 0xFFFFFFFF < span:
+        threshold = (1 << 32) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = next(halves) * span
+    return m >> 32
+
+
+def _swap_draws(rng: np.random.Generator, dim: int, count: int) -> list[tuple[int, int, float]]:
+    """`count` draws of (rng.choice(dim, 2, replace=False), rng.uniform()), bit for bit.
+
+    Read from the raw words of rng's PCG64 generator as numpy reads them.
+    The pair is Floyd's selection: a bounded draw on 0..dim-2, then one on
+    0..dim-1 (dim - 1 if that repeats the first), then a draw on {0, 1}
+    that swaps the pair when it is 0.  uniform() is (word >> 11) * 2^-53,
+    from a word of its own, which leaves a kept high half in place.  A draw
+    on 0..0 uses no bits.  Needs dim >= 2 when count > 0, and dim < 2^32
+    (numpy takes other paths from there).  rng is left past the words
+    fetched, not just past the draws.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    words = _raw_words(bit_generator, 3 * count + 2)  # at most 2.5 words a swap, bar rejections
+    halves = _halves(words, state["uinteger"] if state["has_uint32"] else None)
+    draws = []
+    for _ in range(count):
+        a = _bounded(halves, dim - 2)
+        b = _bounded(halves, dim - 1)
+        if b == a:
+            b = dim - 1
+        if _bounded(halves, 1) == 0:
+            a, b = b, a
+        draws.append((a, b, (next(words) >> 11) * 2.0**-53))
+    return draws
+
+
 def random_gibbs_stochastic(
     sys: EnergySpectrum,
     battery: EnergySpectrum,
@@ -352,10 +408,15 @@ def random_gibbs_stochastic(
     Gibbs-preserving stochastic block [[1 - lam*g_b/g_a, lam],
     [lam*g_b/g_a, 1 - lam]], so the composition is stochastic and
     Gibbs-preserving by construction.
+
+    Stream contract: swap i uses the i-th draw of
+    `rng.choice(dim, size=2, replace=False)` and then `rng.uniform()` on
+    `rng = np.random.default_rng(seed)` (the pair as choice orders it, then
+    sorted by weight).  The draws are read from one block of the generator's
+    raw words (`_swap_draws`), not through those calls, with the same bits.
     """
     if num_mixes < 0:
         raise DomainError("num_mixes must be >= 0")
-    rng = np.random.default_rng(seed)
     g = gibbs_weights(joint_spectrum(sys, battery), beta).tolist()
     dim = len(g)
     if num_mixes and dim < 2:
@@ -365,11 +426,9 @@ def random_gibbs_stochastic(
     # row.  Each entry is two rounded products and their rounded sum, so the
     # matrix has the bits of the same update done on numpy rows.
     rows: dict[int, list[float]] = {}
-    for _ in range(num_mixes):
-        a, b = rng.choice(dim, size=2, replace=False).tolist()
+    for a, b, lam in _swap_draws(np.random.default_rng(seed), dim, num_mixes):
         if g[a] < g[b]:
             a, b = b, a
-        lam = float(rng.uniform())
         ratio = g[b] / g[a]
         row_a = rows.get(a) or _unit_row(a, dim)
         row_b = rows.get(b) or _unit_row(b, dim)

@@ -33,7 +33,7 @@ from .erasure import (
     weight_variance,
 )
 from .errors import DomainError, PreconditionViolated
-from .feasibility import lp_feasible_transport, thermo_majorizes
+from .feasibility import LP_TOL, lp_transport_residual, thermo_majorizes
 from .fileio import csv_text
 from .spectra import DiagonalState, EnergySpectrum, gibbs_state
 
@@ -62,18 +62,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def random_wit_subchannels(seed: int, trial: int) -> WitSubchannels:
+def random_wit_subchannels(seed: int, trial: int, beta: float = 1.0) -> WitSubchannels:
     """Seeded wit operation: random partial beta-swaps on a (sys x wit) space.
 
-    Spectra are drawn so that the extension tail ||r01^40||_1 stays below
-    1e-12 (beta*delta >= 0.8 with sub-unit system spread).
+    The gap is drawn as uniform(0.8, 1.6) / beta, so beta*delta keeps its
+    range at every beta (and at beta = 1 every draw keeps its bits), and the
+    extension tail ||r01^40||_1 stays below 1e-12 (its largest value over
+    seeds 0 and 1, trials 0-199, at beta from 0.1 to 20 was 2.5e-16).
     """
     rng = _trial_rng(seed, trial)
     d = int(rng.integers(2, 4))
     sys = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, d))), "sys")
-    delta = float(rng.uniform(0.8, 1.6))
+    delta = float(rng.uniform(0.8, 1.6)) / beta
     channel = random_gibbs_stochastic(
-        sys, EnergySpectrum.wit(delta), 1.0, seed=int(rng.integers(2**31)), num_mixes=25
+        sys, EnergySpectrum.wit(delta), beta, seed=int(rng.integers(2**31)), num_mixes=25
     )
     return WitSubchannels.from_channel(channel)
 
@@ -267,6 +269,7 @@ def run_oracle_feasibility(cfg: dict[str, Any]) -> ExperimentResult:
     rows = []
     disagreements = 0
     feasible_count = 0
+    residuals: dict[bool, list[float]] = {True: [], False: []}  # LP residuals by LP verdict
     for t in range(trials):
         rng = _trial_rng(seed, t)
         d = int(rng.integers(2, max_dim + 1))
@@ -282,7 +285,9 @@ def run_oracle_feasibility(cfg: dict[str, Any]) -> ExperimentResult:
             )
             q = DiagonalState(ch.matrix @ p.probs, spectrum)
         curve_says = thermo_majorizes(p, q, beta)
-        lp_says = lp_feasible_transport(p, q, beta)
+        residual = lp_transport_residual(p, q, beta)
+        lp_says = residual <= LP_TOL
+        residuals[lp_says].append(residual)
         feasible_count += int(curve_says)
         if curve_says != lp_says:
             disagreements += 1
@@ -292,20 +297,26 @@ def run_oracle_feasibility(cfg: dict[str, Any]) -> ExperimentResult:
     res.tables["oracle_feasibility.csv"] = csv_text(
         ["trial", "dim", "curve", "lp", "agree"], rows
     )
-    res.summary = {"trials": trials, "feasible": feasible_count, "disagreements": disagreements}
+    res.summary = {
+        "trials": trials,
+        "feasible": feasible_count,
+        "disagreements": disagreements,
+        "max_feasible_lp_residual": max(residuals[True], default=None),
+        "min_infeasible_lp_residual": min(residuals[False], default=None),
+    }
     return res
 
 
 def run_certify_thm1(cfg: dict[str, Any]) -> ExperimentResult:
     """Conditional-average bound on seeded random ladder extensions."""
     res = ExperimentResult("certify-thm1", "jarzynski-family-bound-sweep", cfg)
-    seed, trials, n, buf, tol = (
-        cfg["seed"], cfg["trials"], cfg["num_quanta"], cfg["band_buffer"], cfg["tol"],
+    seed, beta, trials, n, buf, tol = (
+        cfg["seed"], cfg["beta"], cfg["trials"], cfg["num_quanta"], cfg["band_buffer"], cfg["tol"],
     )
     rows = []
     worst = np.inf
     for t in range(trials):
-        sub = random_wit_subchannels(seed, t)
+        sub = random_wit_subchannels(seed, t, beta)
         channel = extend_to_oscillator(sub, n)
         rng = _trial_rng(seed, 7_000_000 + t)
         sys = DiagonalState(rng.dirichlet(np.ones(sub.dim)), sub.system)
@@ -322,11 +333,11 @@ def run_certify_thm1(cfg: dict[str, Any]) -> ExperimentResult:
 def run_certify_thm2(cfg: dict[str, Any]) -> ExperimentResult:
     """Corrected second law on random (channel, system, battery) triples."""
     res = ExperimentResult("certify-thm2", "second-law-correction-sweep", cfg)
-    seed, trials, n, tol = cfg["seed"], cfg["trials"], cfg["num_quanta"], cfg["tol"]
+    seed, beta, trials, n, tol = cfg["seed"], cfg["beta"], cfg["trials"], cfg["num_quanta"], cfg["tol"]
     rows = []
     worst = np.inf
     for t in range(trials):
-        sub = random_wit_subchannels(seed, t)
+        sub = random_wit_subchannels(seed, t, beta)
         channel = extend_to_oscillator(sub, n)
         rng = _trial_rng(seed, 9_000_000 + t)
         sys = DiagonalState(rng.dirichlet(np.ones(sub.dim)), sub.system)
@@ -348,21 +359,21 @@ def run_certify_thm2(cfg: dict[str, Any]) -> ExperimentResult:
 def run_certify_thm4(cfg: dict[str, Any]) -> ExperimentResult:
     """Variance floor gamma <w>^2 on erasure cells and random extensions."""
     res = ExperimentResult("certify-thm4", "vacuum-variance-floor-sweep", cfg)
-    seed, trials, n = cfg["seed"], cfg["trials"], cfg["num_quanta"]
+    seed, beta, trials, n = cfg["seed"], cfg["beta"], cfg["trials"], cfg["num_quanta"]
     rows = []
     worst = np.inf
     checked = 0
     for eps in (0.0, 0.05, 0.1, 0.2, 0.3):
         for gamma in (0.0, 0.05, 0.1, 0.25, 0.5):
-            avg = oscillator_average_work(eps, gamma)
-            var = oscillator_variance(eps, gamma)
+            avg = oscillator_average_work(eps, gamma, beta)
+            var = oscillator_variance(eps, gamma, beta)
             margin = var - gamma * avg**2
             worst = min(worst, margin)
             checked += 1
             rows.append(["erasure", float(eps), float(gamma), float(avg), float(var), float(margin)])
             res.check(margin >= -1e-12, f"erasure cell ({eps}, {gamma}): margin {margin}")
     for t in range(trials):
-        sub = random_wit_subchannels(seed, t)
+        sub = random_wit_subchannels(seed, t, beta)
         channel = extend_to_oscillator(sub, n)
         rng = _trial_rng(seed, 11_000_000 + t)
         sys = DiagonalState(rng.dirichlet(np.ones(sub.dim)), sub.system)

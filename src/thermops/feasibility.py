@@ -24,9 +24,9 @@ the curve criterion itself and lies within `tol` of the least one that
 does (taking, as the earlier bisection did, that the probe's verdict
 turns once as delta grows).
 
-The oracles (`thermo_majorizes`, `lp_feasible_transport`,
-`formation_feasible_at`, `min_formation_gap`) raise DomainError unless
-beta is finite and positive.
+The oracles (`thermo_majorizes`, `lp_feasible_transport` and its
+`lp_transport_residual`, `formation_feasible_at`, `min_formation_gap`)
+raise DomainError unless beta is finite and positive.
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def _bland_pivot(t: np.ndarray, basis: list[int]) -> tuple[int, int] | None:
     return enter, leave
 
 
-def _phase_one_simplex(a: np.ndarray, b: np.ndarray, tol: float = LP_TOL) -> tuple[bool, float]:
+def _phase_one_simplex(a: np.ndarray, b: np.ndarray) -> float:
     """Feasibility of {A x = b, x >= 0} by minimizing the artificial mass.
 
-    Dense tableau simplex with Bland's rule.  Returns (feasible, residual),
-    where residual is the optimal artificial objective.
+    Dense tableau simplex with Bland's rule.  Returns the residual, the
+    optimal artificial objective (0 up to rounding when the set is non-empty).
     """
     m, n = a.shape
     a = a.copy()
@@ -150,12 +150,15 @@ def _phase_one_simplex(a: np.ndarray, b: np.ndarray, tol: float = LP_TOL) -> tup
     else:
         raise SolverFailure(f"simplex did not converge within {max_iter} iterations")
 
-    residual = float(-t[m, -1])
-    return residual <= tol, residual
+    return float(-t[m, -1])
 
 
-def lp_feasible_transport(p: DiagonalState, q: DiagonalState, beta: float) -> bool:
-    """Decide existence of R >= 0 with unit column sums, R g = g and R p = q."""
+def lp_transport_residual(p: DiagonalState, q: DiagonalState, beta: float) -> float:
+    """Phase-one residual of the transport LP {R >= 0, 1^T R = 1^T, R g = g, R p = q}.
+
+    The artificial mass the simplex could not drive out: 0 up to rounding
+    when the transport exists.  `lp_feasible_transport` is residual <= LP_TOL.
+    """
     check_beta(beta)
     if p.spectrum != q.spectrum:
         raise SpectrumMismatch("transport requires a common spectrum")
@@ -171,8 +174,12 @@ def lp_feasible_transport(p: DiagonalState, q: DiagonalState, beta: float) -> bo
     a = np.vstack((np.tile(eye, d), (diag * g).reshape(d, -1), (diag * p.probs).reshape(d, -1)))
     b = np.concatenate((np.ones(d), g, q.probs))
 
-    feasible, _ = _phase_one_simplex(a, b)
-    return feasible
+    return _phase_one_simplex(a, b)
+
+
+def lp_feasible_transport(p: DiagonalState, q: DiagonalState, beta: float) -> bool:
+    """Decide existence of R >= 0 with unit column sums, R g = g and R p = q."""
+    return lp_transport_residual(p, q, beta) <= LP_TOL
 
 
 def formation_feasible_at(rho: DiagonalState, sigma: DiagonalState, beta: float, delta: float) -> bool:

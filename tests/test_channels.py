@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from thermops import channels
 from thermops.channels import (
     LadderChannel,
     ThermalChannel,
@@ -346,6 +347,10 @@ class TestExtractSubchannels:
         assert np.array_equal(rebuilt, ch.matrix)
 
 
+SWAP_DIMS = (2, 3, 4, 6, 8, 16, 30)
+SWAP_MIXES = (0, 1, 25, 60)
+
+
 class TestRandomGibbsStochastic:
     def test_zero_mixes_is_identity(self):
         ch = random_gibbs_stochastic(small_sys(), ladder(), 1.0, seed=4, num_mixes=0)
@@ -387,6 +392,64 @@ class TestRandomGibbsStochastic:
                         assert ch.matrix.tobytes() == ref.tobytes(), (d, beta, tied, len(battery), num_mixes)
                         cases += 1
         assert cases == 128
+
+    @pytest.mark.parametrize("dim", SWAP_DIMS)
+    def test_matches_choice_and_uniform(self, dim):
+        """Matrix bytes on 1,000 seeds against the rng.choice / rng.uniform draws."""
+        rng = np.random.default_rng(dim)
+        shapes = [(EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 1.0, dim)))), EnergySpectrum((0.0,), "none"))]
+        if dim % 2 == 0:  # repeated levels give equal Gibbs weights
+            levels = tuple(np.round(np.sort(rng.uniform(0.0, 1.0, dim // 2)), 1))
+            shapes.append((EnergySpectrum(levels), EnergySpectrum.wit(1.1)))
+        for seed in range(1000):
+            sys, battery = shapes[seed % len(shapes)]
+            beta = (0.1, 1.0, 5.0, 20.0)[seed % 4]
+            ref = choice_uniform_matrices(sys, battery, beta, seed, SWAP_MIXES)
+            for num_mixes in SWAP_MIXES:
+                ch = random_gibbs_stochastic(sys, battery, beta, seed, num_mixes)
+                assert ch.matrix.tobytes() == ref[num_mixes], (seed, num_mixes)
+
+    @pytest.mark.parametrize("dim", [6, 7, 12])
+    def test_bounded_draw_rejection(self, dim):
+        """A kept zero half forces Lemire's rejection loop on the first draw."""
+        assert (1 << 32) % (dim - 1) > 0  # a zero product lies below the threshold
+        state = np.random.default_rng(dim).bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        ours, theirs = np.random.default_rng(), np.random.default_rng()
+        ours.bit_generator.state = theirs.bit_generator.state = state
+        assert channels._swap_draws(ours, dim, 5) == choice_uniform_draws(theirs, dim, 5)
+
+
+def choice_uniform_draws(rng, dim, count):
+    """Reference for _swap_draws: the numpy calls random_gibbs_stochastic once made."""
+    draws = []
+    for _ in range(count):
+        a, b = rng.choice(dim, size=2, replace=False).tolist()
+        draws.append((a, b, float(rng.uniform())))
+    return draws
+
+
+def choice_uniform_matrices(sys, battery, beta, seed, counts):
+    """Reference: {n: matrix bytes after the first n swaps} for each n in counts.
+
+    Drawn with choice_uniform_draws; rows are updated on Python floats, which
+    test_matches_numpy_row_reference ties to the numpy-row update.
+    """
+    g = gibbs_weights(joint_spectrum(sys, battery), beta).tolist()
+    dim = len(g)
+    m = np.eye(dim)
+    out = {0: m.tobytes()}
+    draws = choice_uniform_draws(np.random.default_rng(seed), dim, max(counts))
+    for n, (a, b, lam) in enumerate(draws, start=1):
+        if g[a] < g[b]:
+            a, b = b, a
+        ratio = g[b] / g[a]
+        row_a, row_b = m[a].tolist(), m[b].tolist()
+        m[a] = [(1.0 - lam * ratio) * x + lam * y for x, y in zip(row_a, row_b)]
+        m[b] = [lam * ratio * x + (1.0 - lam) * y for x, y in zip(row_a, row_b)]
+        if n in counts:
+            out[n] = m.tobytes()
+    return out
 
 
 def numpy_row_swaps(sys, battery, beta, seed, num_mixes):

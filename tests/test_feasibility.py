@@ -5,14 +5,17 @@ from numpy.testing import assert_allclose
 from thermops import feasibility
 from thermops.channels import random_gibbs_stochastic
 from thermops.errors import DomainError, Infeasible, SolverFailure, SpectrumMismatch
+from thermops.experiments import run_experiment
 from thermops.feasibility import (
     CURVE_Y_TOL,
+    LP_TOL,
     ThermoCurve,
     _least_x,
     _phase_one_simplex,
     formation_feasible_at,
     formation_gap_from_equilibrium,
     lp_feasible_transport,
+    lp_transport_residual,
     min_formation_gap,
     thermo_curve,
     thermo_majorizes,
@@ -129,6 +132,19 @@ class TestLPTransport:
             else:
                 q = DiagonalState(rng.dirichlet(np.ones(d)), sp)
             assert thermo_majorizes(p, q, 1.0) == lp_feasible_transport(p, q, 1.0)
+
+    def test_residual_behind_the_verdict(self):
+        p = DiagonalState(np.array([1.0, 0.0]), qubit())
+        q = DiagonalState(np.array([0.5, 0.5]), qubit())
+        assert lp_transport_residual(p, q, 1.0) <= 1e-15
+        # Uniform is the degenerate qubit's Gibbs state, which every Gibbs-preserving map fixes.
+        assert lp_transport_residual(q, p, 1.0) > LP_TOL
+
+    def test_oracle_feasibility_reports_the_residual_split(self):
+        res = run_experiment("oracle-feasibility", {"trials": 40})
+        assert res.passed
+        summary = res.summary
+        assert 0.0 <= summary["max_feasible_lp_residual"] <= LP_TOL < summary["min_infeasible_lp_residual"]
 
 
 class TestMinFormationGap:
@@ -365,6 +381,7 @@ class TestBetaGuard:
         for call in (
             lambda: thermo_majorizes(p, q, beta),
             lambda: lp_feasible_transport(p, q, beta),
+            lambda: lp_transport_residual(p, q, beta),
             lambda: formation_feasible_at(p, q, beta, 0.5),
             lambda: min_formation_gap(p, q, beta),
         ):
@@ -443,10 +460,10 @@ class TestLoopFreeSimplex:
         def both(a, b):
             ref = reference_loop_simplex(a, b)
             pivots.clear()
-            feasible, residual = _phase_one_simplex(a, b)
-            assert (feasible, repr(residual)) == (ref[0], repr(ref[1]))  # repr keeps every bit, -0.0 too
+            residual = _phase_one_simplex(a, b)
+            assert (residual <= LP_TOL, repr(residual)) == (ref[0], repr(ref[1]))  # repr keeps every bit, -0.0 too
             assert pivots == ref[2]
-            return feasible, residual
+            return residual
 
         monkeypatch.setattr(feasibility, "_bland_pivot", recorded)
         monkeypatch.setattr(feasibility, "_phase_one_simplex", both)

@@ -139,6 +139,15 @@ class TestCli:
         csv_b = (b / "certify_thm1.csv").read_bytes()
         assert csv_a == csv_b
 
+    @pytest.mark.parametrize("name", ["certify-thm1", "certify-thm2", "certify-thm4"])
+    def test_certify_sweep_honours_beta(self, tmp_path, name):
+        tables = []
+        for beta in ("1", "2"):
+            out = tmp_path / beta
+            assert main(["run", name, "--beta", beta, "--trials", "3", "--out", str(out)]) == 0
+            tables.append((out / f"{name.replace('-', '_')}.csv").read_bytes())
+        assert tables[0] != tables[1]
+
     def test_certify_thm2_on_a_long_ladder(self, tmp_path):
         # beta * N * delta is far above 700 here, so the battery's Gibbs terms must stay in log space.
         assert main(["run", "certify-thm2", "--num-quanta", "1000", "--trials", "3", "--out", str(tmp_path / "o")]) == 0
