@@ -26,6 +26,7 @@ plain reference loop over the sorted values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,9 +34,11 @@ import numpy as np
 
 from .channels import LadderChannel, ThermalChannel, WitSubchannels, apply, battery_marginal
 from .errors import DimensionMismatch, DomainError, PreconditionViolated
-from .spectra import DiagonalState, dot
+from .spectra import DiagonalState, checked_probabilities, dot
 
 MERGE_TOL = 1e-12
+# theorem4_check: absolute margin by which Var[w] may fall below gamma <w>^2.
+VARIANCE_FLOOR_TOL = 1e-12
 
 
 def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +57,10 @@ def _merge_support(values: np.ndarray, probs: np.ndarray, tol: float) -> tuple[n
 @dataclass(frozen=True)
 class WorkDistribution:
     """Finite support of work values with matching probabilities.
+
+    The probabilities pass the check a DiagonalState's do
+    (spectra.checked_probabilities) before any merge, and every value that
+    keeps probability must be finite.
 
     Near-equal values are merged.  The values are sorted (stably) and taken
     in order: a value at most MERGE_TOL above the first value of the current
@@ -74,16 +81,15 @@ class WorkDistribution:
             raise DimensionMismatch("support and probs must be matching vectors")
         if v.size == 0:
             raise DomainError("a work distribution needs at least one value")
-        if np.min(p) < -1e-15:
-            raise DomainError(f"negative work probability {np.min(p)}")
-        p = np.clip(p, 0.0, None)
+        p = checked_probabilities(p)
         if not (np.diff(v) > MERGE_TOL).all():  # else every value is its own group, in order
             v, p = _merge_support(v, p, MERGE_TOL)
         keep = p > 0.0
         v, p = v[keep], p[keep]
-        total = p.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"work probabilities sum to {total}")
+        # v is sorted here, NaN last, and a NaN or infinite value merges with
+        # no other: a non-finite value that keeps probability is an end.
+        if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+            raise DomainError("a work value with probability is not finite")
         v.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "support", v)
@@ -93,8 +99,9 @@ class WorkDistribution:
     def point_mass(cls, w: float) -> "WorkDistribution":
         return cls(support=np.array([w]), probs=np.array([1.0]))
 
-    def prob_of(self, w: float, tol: float = MERGE_TOL) -> float:
-        hit = np.abs(self.support - w) <= tol
+    def prob_of(self, w: float) -> float:
+        """Total mass on the support values within MERGE_TOL of w."""
+        hit = np.abs(self.support - w) <= MERGE_TOL
         return float(self.probs[hit].sum())
 
 
@@ -234,10 +241,11 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def theorem4_check(wd: WorkDistribution, gamma: float, tol: float = 1e-12) -> CheckReport:
+def theorem4_check(wd: WorkDistribution, gamma: float) -> CheckReport:
     """Variance floor Var[w] >= gamma <w>^2 for protocols with <w> <= 0.
 
-    gamma is the initial ground-level occupation of the battery.
+    gamma is the initial ground-level occupation of the battery.  The check
+    passes when the margin is at least -VARIANCE_FLOOR_TOL.
     """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside [0, 1]")
@@ -247,7 +255,7 @@ def theorem4_check(wd: WorkDistribution, gamma: float, tol: float = 1e-12) -> Ch
     margin = variance(wd) - gamma * mean**2
     return CheckReport(
         name="variance-floor",
-        passed=margin >= -tol,
+        passed=margin >= -VARIANCE_FLOOR_TOL,
         worst_slack=float(margin),
         details={"average_work": mean, "variance": variance(wd), "gamma": gamma},
     )

@@ -35,6 +35,7 @@ from .errors import (
     SpectrumMismatch,
 )
 from .spectra import (
+    NEG_FLOOR,
     DiagonalState,
     EnergySpectrum,
     gibbs_weights,
@@ -115,16 +116,16 @@ class ValidationReport:
     row_residuals: np.ndarray = field(repr=False)
     entry_min: float
     entry_max: float
-    stoch_tol: float
+    stoch_tol: float  # STOCHASTIC_TOL and GIBBS_TOL, the thresholds `ok` was taken at
     gibbs_tol: float
 
 
-def validate(
-    channel: ThermalChannel,
-    stoch_tol: float = STOCHASTIC_TOL,
-    gibbs_tol: float = GIBBS_TOL,
-) -> ValidationReport:
+def validate(channel: ThermalChannel) -> ValidationReport:
     """Check trace preservation per column and the Gibbs condition per row.
+
+    The channel is ok when every column sum is within STOCHASTIC_TOL of 1,
+    every row's Gibbs residual within GIBBS_TOL (relative), and every entry
+    in [NEG_FLOOR, 1 + 1e-12].
 
     A LadderChannel is checked from its blocks (LadderChannel.residuals);
     its entries are those of the stored blocks, and zero for N >= 2.
@@ -154,9 +155,9 @@ def validate(
 
     entry_min, entry_max = float(entries.min()), float(entries.max())
     ok = bool(
-        float(col_res.max()) <= stoch_tol
-        and float(row_res.max()) <= gibbs_tol
-        and entry_min >= -1e-15
+        float(col_res.max()) <= STOCHASTIC_TOL
+        and float(row_res.max()) <= GIBBS_TOL
+        and entry_min >= NEG_FLOOR
         and entry_max <= 1.0 + 1e-12
     )
     return ValidationReport(
@@ -167,8 +168,8 @@ def validate(
         row_residuals=row_res,
         entry_min=entry_min,
         entry_max=entry_max,
-        stoch_tol=stoch_tol,
-        gibbs_tol=gibbs_tol,
+        stoch_tol=STOCHASTIC_TOL,
+        gibbs_tol=GIBBS_TOL,
     )
 
 
@@ -272,9 +273,8 @@ def check_eti(
     convention: str = "main",
     row_max: int | None = None,
     col_max: int | None = None,
-    tol: float = ETI_TOL,
 ) -> ETIReport:
-    """Verify r(s'k'|sk) = r(s',k'+n|s,k+n) for k >= k_min.
+    """Verify r(s'k'|sk) = r(s',k'+n|s,k+n) for k >= k_min, to within ETI_TOL.
 
     Each call audits one window, the one `convention` names:
 
@@ -312,14 +312,14 @@ def check_eti(
     else:
         violation, where = _band_violation(channel.blocks(), k_min, row_max, col_max, convention)
     return ETIReport(
-        holds=violation <= tol,
+        holds=violation <= ETI_TOL,
         convention=convention,
         max_violation=violation,
         worst=where,
         k_min=k_min,
         row_max=row_max,
         col_max=col_max,
-        tol=tol,
+        tol=ETI_TOL,
     )
 
 
@@ -451,7 +451,7 @@ class WitSubchannels:
     r00 g + e^{-beta delta} r10 g = g,
     r01 g + e^{-beta delta} r11 g = e^{-beta delta} g,
     with g the unnormalized system Gibbs weights.  Making the blocks checks
-    both, and finite entries >= -1e-15, or raises InvalidSubchannels.
+    both, and finite entries >= NEG_FLOOR, or raises InvalidSubchannels.
     """
 
     r00: np.ndarray
@@ -477,7 +477,7 @@ class WitSubchannels:
         if not all(np.isfinite(m).all() for m in blocks):
             raise InvalidSubchannels("non-finite subchannel entry")
         mins = min(m.min() for m in blocks)
-        if mins < -1e-15:
+        if mins < NEG_FLOOR:
             raise InvalidSubchannels(f"negative subchannel entry {mins}")
         stoch, gibbs = self.residuals()
         if stoch > STOCHASTIC_TOL:

@@ -53,9 +53,9 @@ class ThermoCurve:
     def value_at(self, x) -> np.ndarray:
         return np.interp(x, self.xs, self.ys)
 
-    def lies_above(self, other: "ThermoCurve", tol: float = CURVE_Y_TOL) -> bool:
-        """True iff this curve is at least other's y - tol at every vertex of other."""
-        return bool(np.all(self.value_at(other.xs) >= other.ys - tol))
+    def lies_above(self, other: "ThermoCurve") -> bool:
+        """True iff this curve is at least other's y - CURVE_Y_TOL at every vertex of other."""
+        return bool(np.all(self.value_at(other.xs) >= other.ys - CURVE_Y_TOL))
 
 
 def _curve(probs: np.ndarray, energies: np.ndarray, beta: float) -> ThermoCurve:
@@ -74,12 +74,12 @@ def thermo_curve(state: DiagonalState, beta: float) -> ThermoCurve:
     return _curve(state.probs, state.spectrum.array, beta)
 
 
-def thermo_majorizes(p: DiagonalState, q: DiagonalState, beta: float, tol: float = CURVE_Y_TOL) -> bool:
-    """True iff curve(p) lies on or above curve(q) at every vertex of curve(q)."""
+def thermo_majorizes(p: DiagonalState, q: DiagonalState, beta: float) -> bool:
+    """True iff curve(p) lies on or above curve(q), less CURVE_Y_TOL, at every vertex of curve(q)."""
     check_beta(beta)
     if p.spectrum != q.spectrum:
         raise SpectrumMismatch("thermomajorization compares states on one spectrum")
-    return thermo_curve(p, beta).lies_above(thermo_curve(q, beta), tol)
+    return thermo_curve(p, beta).lies_above(thermo_curve(q, beta))
 
 
 def _bland_pivot(t: np.ndarray, basis: list[int]) -> tuple[int, int] | None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -135,6 +136,8 @@ def channel_from_text(text: str) -> ThermalChannel:
         beta = float(head[3])
     except ValueError as exc:
         raise header_error from exc
+    if not math.isfinite(beta):
+        raise DomainError(f"channel header beta must be finite, got {head[3]!r}")
     sys_in = EnergySpectrum(tuple(_numbers(lines[1], "sys_in")), "sys_in")
     sys_out = EnergySpectrum(tuple(_numbers(lines[2], "sys_out")), "sys_out")
     battery = EnergySpectrum(tuple(_numbers(lines[3], "battery")), "battery")
@@ -143,7 +146,10 @@ def channel_from_text(text: str) -> ThermalChannel:
     rows = [_numbers(ln, "matrix") for ln in lines[4:]]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionMismatch("matrix rows differ in length")
-    return ThermalChannel(np.array(rows), sys_in, sys_out, battery, beta)
+    matrix = np.array(rows)
+    if not np.isfinite(matrix).all():
+        raise DomainError("channel file matrix holds a non-finite entry")
+    return ThermalChannel(matrix, sys_in, sys_out, battery, beta)
 
 
 def write_channel(path: str, channel: ThermalChannel) -> None:

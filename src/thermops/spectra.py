@@ -26,6 +26,12 @@ from .errors import (
 EXP_GUARD = 700.0
 
 PROB_SUM_TOL = 1e-12
+# Least entry a probability vector or a channel may hold: an entry between
+# NEG_FLOOR and 0 is taken as rounding below zero.
+NEG_FLOOR = -1e-15
+# uniform_spacing: absolute on the first level, relative to max(1, top level)
+# on the deviation of every level from k * delta.
+SPACING_TOL = 1e-12
 # OpenBLAS runs a dot product of more than this many terms on several
 # threads, and the partial sums then depend on the thread count.
 SERIAL_DOT_MAX = 10_000
@@ -144,16 +150,16 @@ class EnergySpectrum:
             raise DomainError("wit gap must be non-negative")
         return cls(levels=(0.0, delta), label=label)
 
-    def uniform_spacing(self, tol: float = 1e-12) -> float | None:
-        """Spacing delta if the ladder is uniform starting at 0, else None."""
+    def uniform_spacing(self) -> float | None:
+        """Spacing delta if the ladder is uniform starting at 0 (to SPACING_TOL), else None."""
         arr = self.array
         if len(arr) < 2:
             return None
         delta = arr[1] - arr[0]
-        if delta <= 0 or abs(arr[0]) > tol:
+        if delta <= 0 or abs(arr[0]) > SPACING_TOL:
             return None
         expected = arr[0] + delta * np.arange(len(arr))
-        if np.max(np.abs(arr - expected)) > tol * max(1.0, abs(arr[-1])):
+        if np.max(np.abs(arr - expected)) > SPACING_TOL * max(1.0, abs(arr[-1])):
             return None
         return float(delta)
 
@@ -162,6 +168,23 @@ def joint_spectrum(sys: EnergySpectrum, battery: EnergySpectrum) -> EnergySpectr
     """Product spectrum over pairs (s, k), flattened system-major."""
     levels = (sys.array[:, None] + battery.array[None, :]).ravel()
     return EnergySpectrum(levels=levels, label=f"{sys.label}*{battery.label}")
+
+
+def checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """A non-empty float vector p as probabilities: entries clipped to >= 0, sum 1.
+
+    Raises DomainError on an entry below NEG_FLOOR, or unless the clipped
+    entries sum to 1 within PROB_SUM_TOL; a NaN or inf entry fails the sum.
+    Returns the clipped copy.
+    """
+    low = np.min(p)
+    if low < NEG_FLOOR:
+        raise DomainError(f"negative probability {low}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise DomainError(f"probabilities sum to {total}, expected 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -177,12 +200,7 @@ class DiagonalState:
             raise SpectrumMismatch(
                 f"state has {p.size} entries for a {len(self.spectrum)}-level spectrum"
             )
-        if np.min(p) < -1e-15:
-            raise DomainError(f"negative probability {np.min(p)}")
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN or inf entry makes the sum fail too
-            raise DomainError(f"probabilities sum to {total}, expected 1")
+        p = checked_probabilities(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

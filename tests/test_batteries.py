@@ -176,6 +176,17 @@ class TestMergeSupport:
         with pytest.raises(DomainError, match="at least one value"):
             WorkDistribution(support=np.array([]), probs=np.array([]))
 
+    @pytest.mark.parametrize(
+        "support, probs",
+        [([0.0, 1.0], [np.nan, 1.0]), ([0.0, np.nan], [0.5, 0.5]), ([0.0, np.inf], [0.5, 0.5])],
+        ids=["nan probability", "nan value", "inf value"],
+    )
+    def test_non_finite_input_rejected(self, support, probs):
+        # A NaN mass used to be dropped as "not > 0", leaving a point mass at
+        # 1.0; a non-finite value with mass made average_work nan or inf.
+        with pytest.raises(DomainError):
+            WorkDistribution(support=np.array(support), probs=np.array(probs))
+
 
 def group_starts(v, tol):
     """Leader indices of sorted values, found without a loop where no run of

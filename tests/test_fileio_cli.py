@@ -9,11 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import thermops
-from thermops.channels import random_gibbs_stochastic
+from thermops.channels import identity_channel, random_gibbs_stochastic
 from thermops.cli import main
 from thermops.construction import MAX_BATTERY_SIZE
 from thermops.erasure import oscillator_erasure_subchannels
 from thermops.errors import DomainError
+from thermops.experiments import EXPERIMENTS, run_experiment
 from thermops.fileio import (
     channel_from_text,
     channel_to_text,
@@ -257,6 +258,49 @@ class TestCli:
         assert capsys.readouterr().out.startswith("certify-thm4: ok")
 
 
+# A changed value per config key, one that crosses the key's threshold at the
+# small configs below; an (experiment, key) entry overrides the shared value.
+# A `tol` key changes only the failures: certify-thm2's worst slack at four
+# trials is 1.05, so its tol must go below -1.05 to fail a trial.
+_CHANGED = {
+    "beta": 2.0, "seed": 1, "trials": 3, "num_quanta": 30, "k_probe": 6, "a": 0.7, "max_dim": 3,
+    "band_buffer": 30, "tol": -10.0, "delta": 0.2, "eps_min": 4.0, "center": 45.0, "eps_star": 45.0,
+    "x_min": 7.0, "x_max": 46.0, "x_step": 1.0, "fit_min": 20.0, "fit_max": 60.0,
+}
+_CHANGED_FOR = {
+    ("example2", "tol"): 1.0,  # a = 0.6 then counts as consistent
+    # example3's values are the same at every beta in exact arithmetic (its
+    # erasure ladder has beta * delta = ln 2), so beta moves only their
+    # rounding; at 0.1 it moves some.
+    ("example3", "beta"): 0.1,
+    ("fig2a", "beta"): 0.8,  # at 1.5 and above eps* = x_min / beta falls below eps_min
+}
+# fit_min enters only R^2, which is exactly 1 while the fit window stays below the kink.
+_BASE_FOR = {("fig2b", "fit_min"): {"fit_max": 60.0}}
+
+
+def _small_config(name: str) -> dict:
+    defaults = EXPERIMENTS[name][0]
+    cfg = {key: value for key, value in (("trials", 4), ("num_quanta", 40)) if key in defaults}
+    if name == "example3":
+        cfg["num_quanta"] = 20
+    return cfg
+
+
+def _outcome(name: str, cfg: dict) -> tuple:
+    """Tables, summary and failures of one run; summary entries that echo a config key are left out."""
+    res = run_experiment(name, cfg)
+    summary = {k: v for k, v in res.summary.items() if k not in EXPERIMENTS[name][0]}
+    return res.tables, json.dumps(summary, sort_keys=True), res.failures
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, (defaults, _) in EXPERIMENTS.items() for key in defaults])
+def test_every_config_key_has_an_effect(name, key):
+    base = {**_small_config(name), **_BASE_FOR.get((name, key), {})}
+    changed = {**base, key: _CHANGED_FOR.get((name, key), _CHANGED[key])}
+    assert _outcome(name, changed) != _outcome(name, base)
+
+
 def _error_record(capsys) -> dict:
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert set(record) == {"error", "message"}
@@ -271,6 +315,22 @@ class TestCliErrors:
         empty.write_text("")
         assert main(["validate", str(empty)]) == 2
         assert _error_record(capsys)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("where", ["matrix", "header"])
+    @pytest.mark.parametrize("word", ["nan", "inf"])
+    def test_validate_non_finite_channel_file(self, tmp_path, capsys, where, word):
+        # These used to print NaN or Infinity, which is not JSON, and exit 1.
+        system = EnergySpectrum((0.0, 0.5), "sys")
+        lines = channel_to_text(identity_channel(system, EnergySpectrum.wit(1.0), 1.0)).splitlines()
+        if where == "header":
+            lines[0] = " ".join(lines[0].split()[:3] + [word])
+        else:
+            lines[4] = " ".join([word] + lines[4].split()[1:])
+        channel = tmp_path / "channel.txt"
+        channel.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(channel)]) == 2
+        record = _error_record(capsys)
+        assert record["error"] == "DomainError" and "finite" in record["message"]
 
     def test_config_value_of_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
